@@ -128,11 +128,11 @@ impl BudgetBreach {
     }
 }
 
-/// Resource caps for one [`optimize_widths_budgeted`] run.
+/// Resource caps for one [`optimize_widths_with`] run.
 ///
 /// The default budget reproduces the classic pipeline exactly: the same
-/// round cap the un-budgeted entry points use, and no limits on worklist
-/// pushes, graph growth, wall time, or heap.
+/// round cap as the RP-only and full-sweep pipelines, and no limits on
+/// worklist pushes, graph growth, wall time, or heap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineBudget {
     /// Maximum fixpoint rounds (the un-budgeted pipeline uses 9).
@@ -265,6 +265,13 @@ impl TransformReport {
     }
 }
 
+/// Fixpoint round cap of the default [`PipelineBudget`] and of the
+/// RP-only and full-sweep pipelines. The graph shrinks monotonically, so a
+/// fixpoint always exists; the cap only guards against a pass that
+/// oscillates due to a bug. A capped run is reported via
+/// [`TransformReport::converged`] instead of being silently truncated.
+const MAX_ROUNDS: usize = 9;
+
 /// Runs the full functionally-safe width-reduction pipeline to a fixpoint:
 /// required-precision clamping (Theorem 4.2), information-content edge
 /// pruning (Lemma 5.7) and node pruning with extension-node insertion
@@ -274,24 +281,33 @@ impl TransformReport {
 /// input assignment, so the composition does too (enforced by the property
 /// tests in this crate and in the integration suite).
 ///
-/// The graph shrinks monotonically, so a fixpoint always exists; the cap
-/// only guards against a pass that oscillates due to a bug. A capped run is
-/// reported via [`TransformReport::converged`] instead of being silently
-/// truncated.
-const MAX_ROUNDS: usize = 9;
-
+/// This is [`optimize_widths_with`] under [`PipelineBudget::default`],
+/// without spans or provenance.
+///
 /// # Panics
 ///
 /// Panics if the graph is cyclic or structurally invalid.
 pub fn optimize_widths(g: &mut Dfg) -> TransformReport {
-    optimize_widths_with(g, &mut Recorder::disabled(), &mut TraceLog::disabled())
+    optimize_widths_with(
+        g,
+        &PipelineBudget::default(),
+        &mut Recorder::disabled(),
+        &mut TraceLog::disabled(),
+    )
 }
 
-/// [`optimize_widths`] with timing spans and decision provenance: one span
-/// per fixpoint round with child spans for the required-precision sweep,
-/// the information-content edge sweep, and node pruning; every width
-/// change the passes make is also recorded in `tr` with its causal parent
-/// (see [`dp_trace`]).
+/// [`optimize_widths`] under explicit resource caps, with timing spans and
+/// decision provenance: one span per fixpoint round with child spans for
+/// the required-precision sweep, the information-content edge sweep, and
+/// node pruning; every width change the passes make is also recorded in
+/// `tr` with its causal parent (see [`dp_trace`]).
+///
+/// With [`PipelineBudget::default`] the pipeline runs to its fixpoint. A
+/// tighter budget stops it early — the graph is then functionally correct
+/// but not at the width fixpoint — and records which cap fired in
+/// [`TransformReport::budget_breach`]. The fault-tolerant flow driver uses
+/// this to bound analysis work on adversarial designs and degrade
+/// gracefully instead of looping.
 ///
 /// This is the **incremental** pipeline: round 1 runs full sweeps, and
 /// from round 2 on only ports whose analysis inputs changed are revisited
@@ -304,32 +320,7 @@ pub fn optimize_widths(g: &mut Dfg) -> TransformReport {
 /// # Panics
 ///
 /// Panics if the graph is cyclic or structurally invalid.
-pub fn optimize_widths_with(g: &mut Dfg, rec: &mut Recorder, tr: &mut TraceLog) -> TransformReport {
-    optimize_widths_budgeted_with(g, &PipelineBudget::default(), rec, tr)
-}
-
-/// [`optimize_widths`] under explicit resource caps.
-///
-/// With [`PipelineBudget::default`] this is exactly [`optimize_widths`].
-/// A tighter budget stops the pipeline early — the graph is then
-/// functionally correct but not at the width fixpoint — and records which
-/// cap fired in [`TransformReport::budget_breach`]. The fault-tolerant
-/// flow driver uses this to bound analysis work on adversarial designs
-/// and degrade gracefully instead of looping.
-///
-/// # Panics
-///
-/// Panics if the graph is cyclic or structurally invalid.
-pub fn optimize_widths_budgeted(g: &mut Dfg, budget: &PipelineBudget) -> TransformReport {
-    optimize_widths_budgeted_with(g, budget, &mut Recorder::disabled(), &mut TraceLog::disabled())
-}
-
-/// [`optimize_widths_budgeted`] with timing spans and decision provenance.
-///
-/// # Panics
-///
-/// Panics if the graph is cyclic or structurally invalid.
-pub fn optimize_widths_budgeted_with(
+pub fn optimize_widths_with(
     g: &mut Dfg,
     budget: &PipelineBudget,
     rec: &mut Recorder,
@@ -339,7 +330,7 @@ pub fn optimize_widths_budgeted_with(
     let mut report = TransformReport::default();
     let mut total_pushes = 0usize;
     let wd = Watchdog::new(budget.deadline, budget.max_live_bytes);
-    #[cfg(feature = "verify")]
+    #[cfg(debug_assertions)]
     let mut watch = verify::RoundWatch::new(g);
     let mut eng = Engine::new(g);
     eng.set_timing(rec.level() == dp_metrics::Level::Full);
@@ -379,7 +370,7 @@ pub fn optimize_widths_budgeted_with(
             elapsed: started.elapsed(),
         });
         rec.finish(round);
-        #[cfg(feature = "verify")]
+        #[cfg(debug_assertions)]
         watch.check_round(g, report.rounds);
         // The supervision check must precede the convergence check: an
         // aborted round reports zero changes, which is not a fixpoint.
@@ -461,15 +452,7 @@ pub fn optimize_widths_rp_only_with(g: &mut Dfg, tr: &mut TraceLog) -> Transform
 /// [`optimize_widths`] (their results, trace events, and change counters
 /// must match bit-for-bit) and for the `full_vs_incremental` benchmarks.
 ///
-/// # Panics
-///
-/// Panics if the graph is cyclic or structurally invalid.
-pub fn optimize_widths_full(g: &mut Dfg) -> TransformReport {
-    optimize_widths_full_with(g, &mut Recorder::disabled(), &mut TraceLog::disabled())
-}
-
-/// [`optimize_widths_full`] with timing spans and decision provenance; the
-/// span skeleton matches [`optimize_widths_with`].
+/// The span skeleton matches [`optimize_widths_with`].
 ///
 /// # Panics
 ///
@@ -481,7 +464,7 @@ pub fn optimize_widths_full_with(
 ) -> TransformReport {
     let pipeline = rec.span("optimize_widths");
     let mut report = TransformReport::default();
-    #[cfg(feature = "verify")]
+    #[cfg(debug_assertions)]
     let mut watch = verify::RoundWatch::new(g);
     loop {
         let round = rec.span(format!("round {}", report.rounds + 1));
@@ -517,7 +500,7 @@ pub fn optimize_widths_full_with(
             elapsed: started.elapsed(),
         });
         rec.finish(round);
-        #[cfg(feature = "verify")]
+        #[cfg(debug_assertions)]
         watch.check_round(g, report.rounds);
         if n_rp + e_rp + e_ic + ext + n_ic == 0 {
             report.converged = true;
@@ -539,11 +522,11 @@ fn total_bits(g: &Dfg) -> i64 {
     (nodes + edges) as i64
 }
 
-/// Per-round invariant checking behind the `verify` feature: every pass in
-/// the pipeline may only *narrow* pre-existing nodes and edges, and must
-/// leave the graph structurally valid. Violations are reported with
-/// `debug_assert!`, so release builds pay nothing.
-#[cfg(feature = "verify")]
+/// Per-round invariant checking in debug builds: every pass in the
+/// pipeline may only *narrow* pre-existing nodes and edges, and must leave
+/// the graph structurally valid. The whole watch is compiled out of
+/// release builds, snapshots included.
+#[cfg(debug_assertions)]
 mod verify {
     use dp_dfg::Dfg;
 
@@ -632,7 +615,12 @@ mod tests {
         for case in 0..10 {
             let mut g = random_dfg(&mut rng, &GenConfig::default());
             let mut rec = dp_metrics::Recorder::new();
-            let report = optimize_widths_with(&mut g, &mut rec, &mut TraceLog::disabled());
+            let report = optimize_widths_with(
+                &mut g,
+                &PipelineBudget::default(),
+                &mut rec,
+                &mut TraceLog::disabled(),
+            );
             assert_eq!(report.history.len(), report.rounds, "case {case}");
             assert_eq!(
                 report.history.iter().map(|r| r.node_width_changes).sum::<usize>(),

@@ -1,6 +1,6 @@
 //! Incremental worklist-driven fixpoint engine for the width pipeline.
 //!
-//! The full-sweep pipeline ([`crate::optimize_widths_full`]) recomputes the
+//! The full-sweep pipeline ([`crate::optimize_widths_full_with`]) recomputes the
 //! whole required-precision (RP) and information-content (IC) analyses
 //! every round, O(rounds × graph). This engine keeps both analyses *live*
 //! across rounds and only recomputes the ports whose inputs changed:

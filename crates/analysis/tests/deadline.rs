@@ -16,9 +16,11 @@
 
 use std::time::{Duration, Instant};
 
-use dp_analysis::{optimize_widths, optimize_widths_budgeted, BudgetBreach, PipelineBudget};
+use dp_analysis::{optimize_widths, optimize_widths_with, BudgetBreach, PipelineBudget};
 use dp_dfg::gen::{random_dfg, random_inputs, GenConfig};
 use dp_dfg::Dfg;
+use dp_metrics::Recorder;
+use dp_trace::TraceLog;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -36,7 +38,12 @@ fn expired_deadline_aborts_mid_stage_cleanly() {
             deadline: Some(Instant::now() - Duration::from_millis(1)),
             ..PipelineBudget::default()
         };
-        let report = optimize_widths_budgeted(&mut g, &budget);
+        let report = optimize_widths_with(
+            &mut g,
+            &budget,
+            &mut Recorder::disabled(),
+            &mut TraceLog::disabled(),
+        );
         assert_eq!(
             report.budget_breach,
             Some(BudgetBreach::Deadline),
@@ -89,7 +96,12 @@ fn generous_deadline_is_a_no_op() {
             deadline: Some(Instant::now() + Duration::from_secs(3600)),
             ..PipelineBudget::default()
         };
-        let with_deadline = optimize_widths_budgeted(&mut budgeted, &budget);
+        let with_deadline = optimize_widths_with(
+            &mut budgeted,
+            &budget,
+            &mut Recorder::disabled(),
+            &mut TraceLog::disabled(),
+        );
         let without = optimize_widths(&mut plain);
         assert_eq!(with_deadline.budget_breach, None, "seed {seed}");
         assert!(with_deadline.converged, "seed {seed}");

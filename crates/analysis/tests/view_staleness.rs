@@ -6,7 +6,7 @@
 //! strength of this contract) matches a fresh full sweep exactly.
 //! Structural edits must bump the version and flip the view stale.
 
-use dp_analysis::{optimize_widths_full_with, optimize_widths_with};
+use dp_analysis::{optimize_widths_full_with, optimize_widths_with, PipelineBudget};
 use dp_dfg::gen::{random_dfg, GenConfig};
 use dp_dfg::{Dfg, DfgView, NodeKind};
 use dp_metrics::Recorder;
@@ -93,7 +93,7 @@ proptest! {
         // it must still match the fresh-full-sweep reference bit for bit.
         let mut g_inc = g.clone();
         let mut tr_inc = TraceLog::new();
-        optimize_widths_with(&mut g_inc, &mut Recorder::disabled(), &mut tr_inc);
+        optimize_widths_with(&mut g_inc, &PipelineBudget::default(), &mut Recorder::disabled(), &mut tr_inc);
         let mut g_full = g.clone();
         let mut tr_full = TraceLog::new();
         optimize_widths_full_with(&mut g_full, &mut Recorder::disabled(), &mut tr_full);

@@ -9,13 +9,21 @@
 //! area are printed once per configuration) and by its synthesis runtime.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dp_metrics::Recorder;
 use dp_netlist::Library;
-use dp_synth::{run_flow, AdderKind, MergeStrategy, ReductionKind, SynthConfig};
+use dp_synth::{run_flow, AdderKind, MergeStrategy, ReductionKind, SynthConfig, TraceLog};
 use dp_testcases::{designs, families};
 
 fn quality(name: &str, config: &SynthConfig, lib: &Library) {
     let g = families::dot_product(4, 8);
-    let flow = run_flow(&g, MergeStrategy::New, config).expect("synthesis");
+    let flow = run_flow(
+        &g,
+        MergeStrategy::New,
+        config,
+        &mut Recorder::disabled(),
+        &mut TraceLog::disabled(),
+    )
+    .expect("synthesis");
     let mut nl = flow.netlist;
     dp_opt::fold_constants(&mut nl);
     let nl = nl.sweep();
@@ -44,7 +52,16 @@ fn bench_ablation(c: &mut Criterion) {
     for (name, config) in ablation_configs() {
         group.bench_with_input(BenchmarkId::new(name, "D4"), &d4, |b, g| {
             b.iter(|| {
-                run_flow(g, MergeStrategy::New, &config).expect("synthesis").netlist.num_gates()
+                run_flow(
+                    g,
+                    MergeStrategy::New,
+                    &config,
+                    &mut Recorder::disabled(),
+                    &mut TraceLog::disabled(),
+                )
+                .expect("synthesis")
+                .netlist
+                .num_gates()
             })
         });
     }

@@ -9,14 +9,23 @@
 //! hundreds-of-times slowdown, far outside criterion noise.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dp_metrics::Recorder;
 use dp_netlist::Netlist;
 use dp_opt::fold_constants;
-use dp_synth::{run_flow, MergeStrategy, SynthConfig};
+use dp_synth::{run_flow, MergeStrategy, SynthConfig, TraceLog};
 use dp_testcases::scaling::scaling_design;
 
 fn synthesized(ops: usize) -> Netlist {
     let g = scaling_design(ops);
-    run_flow(&g, MergeStrategy::New, &SynthConfig::default()).expect("synthesis").netlist
+    run_flow(
+        &g,
+        MergeStrategy::New,
+        &SynthConfig::default(),
+        &mut Recorder::disabled(),
+        &mut TraceLog::disabled(),
+    )
+    .expect("synthesis")
+    .netlist
 }
 
 fn bench_fold(c: &mut Criterion) {

@@ -3,8 +3,9 @@
 //! binary; this bench tracks the cost of producing it).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dp_metrics::Recorder;
 use dp_netlist::Library;
-use dp_synth::{run_flow, MergeStrategy, SynthConfig};
+use dp_synth::{run_flow, MergeStrategy, SynthConfig, TraceLog};
 use dp_testcases::all_designs;
 
 fn bench_flows(c: &mut Criterion) {
@@ -21,7 +22,14 @@ fn bench_flows(c: &mut Criterion) {
                 &t.dfg,
                 |b, g| {
                     b.iter(|| {
-                        let flow = run_flow(g, strategy, &config).expect("synthesis");
+                        let flow = run_flow(
+                            g,
+                            strategy,
+                            &config,
+                            &mut Recorder::disabled(),
+                            &mut TraceLog::disabled(),
+                        )
+                        .expect("synthesis");
                         // Folding + timing is part of the measured flow.
                         let mut nl = flow.netlist;
                         dp_opt::fold_constants(&mut nl);

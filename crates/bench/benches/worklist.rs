@@ -1,6 +1,6 @@
 //! Incremental-fixpoint microbenchmarks over the generated scaling
 //! family: the worklist pipeline (`optimize_widths`) against the
-//! full-sweep reference (`optimize_widths_full`), plus `cluster_max` for
+//! full-sweep reference (`optimize_widths_full_with`), plus `cluster_max` for
 //! the end-to-end analysis + clustering cost at each size.
 //!
 //! The one-shot summary printed before the timed runs reports the work
@@ -8,8 +8,10 @@
 //! the timings come from is visible in the bench log.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dp_analysis::{optimize_widths, optimize_widths_full};
+use dp_analysis::{optimize_widths, optimize_widths_full_with};
 use dp_merge::cluster_max;
+use dp_metrics::Recorder;
+use dp_synth::TraceLog;
 use dp_testcases::{scaling_design, SCALING_OPS};
 
 fn bench_worklist(c: &mut Criterion) {
@@ -38,7 +40,10 @@ fn bench_worklist(c: &mut Criterion) {
             b.iter(|| optimize_widths(&mut g.clone()).rounds)
         });
         group.bench_with_input(BenchmarkId::new("optimize_widths_full", ops), &g, |b, g| {
-            b.iter(|| optimize_widths_full(&mut g.clone()).rounds)
+            b.iter(|| {
+                let (mut rec, mut tr) = (Recorder::disabled(), TraceLog::disabled());
+                optimize_widths_full_with(&mut g.clone(), &mut rec, &mut tr).rounds
+            })
         });
         group.bench_with_input(BenchmarkId::new("cluster_max", ops), &g, |b, g| {
             b.iter(|| cluster_max(&mut g.clone()).0.len())

@@ -52,7 +52,7 @@ fn main() {
                                         reduction: red,
                                         sign_ext_compression: compress,
                                     };
-                                    let out = synthesize_sum(&mut nl, &sum, &signals, &cfg);
+                                    let out = synthesize_sum(&mut nl, &sum, &signals, &cfg).0;
                                     nl.output("o", out);
                                     for xa in 0..(1u64 << wa) {
                                         for xb in 0..(1u64 << wb) {

@@ -1,7 +1,8 @@
 use dp_analysis::{info_content, required_precision};
 use dp_dfg::gen::{random_dfg, random_inputs, GenConfig};
 use dp_merge::linearize_cluster;
-use dp_synth::{run_flow, AdderKind, MergeStrategy, ReductionKind, SynthConfig};
+use dp_metrics::Recorder;
+use dp_synth::{run_flow, AdderKind, MergeStrategy, ReductionKind, SynthConfig, TraceLog};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 fn main() {
@@ -26,7 +27,14 @@ fn main() {
         },
         sign_ext_compression: !case.is_multiple_of(5),
     };
-    let flow = run_flow(&g, MergeStrategy::Old, &synth_config).unwrap();
+    let flow = run_flow(
+        &g,
+        MergeStrategy::Old,
+        &synth_config,
+        &mut Recorder::disabled(),
+        &mut TraceLog::disabled(),
+    )
+    .unwrap();
     for _ in 0..200 {
         let inputs = random_inputs(&g, &mut rng);
         let expect = g.evaluate(&inputs).unwrap();
@@ -59,7 +67,7 @@ fn main() {
                             }
                         }
                     }
-                    let out2 = dp_synth::synthesize_sum(&mut nl2, &saf0, &signals, &synth_config);
+                    let out2 = dp_synth::synthesize_sum(&mut nl2, &saf0, &signals, &synth_config).0;
                     nl2.output("o", out2);
                     let got2 = if sim_inputs.is_empty() {
                         // constant-only cluster
@@ -138,7 +146,7 @@ fn main() {
                         }
                     }
                 }
-                let out2 = dp_synth::synthesize_sum(&mut nl2, &saf, &signals, &synth_config);
+                let out2 = dp_synth::synthesize_sum(&mut nl2, &saf, &signals, &synth_config).0;
                 nl2.output("o", out2);
                 let got2 = nl2.simulate(&sim_inputs).unwrap();
                 println!("standalone synth: {} vs SAF {}", got2[0], saf.evaluate(&eval));

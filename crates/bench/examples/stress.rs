@@ -4,9 +4,10 @@
 //! `cargo run --release -p dp-bench --example stress [n]`.
 
 use dp_dfg::gen::{random_dfg, random_inputs, GenConfig};
+use dp_metrics::Recorder;
 use dp_netlist::Library;
 use dp_opt::{optimize, OptConfig};
-use dp_synth::{run_flow, AdderKind, MergeStrategy, ReductionKind, SynthConfig};
+use dp_synth::{run_flow, AdderKind, MergeStrategy, ReductionKind, SynthConfig, TraceLog};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 fn main() {
@@ -31,7 +32,13 @@ fn main() {
             sign_ext_compression: case % 5 != 0,
         };
         for strategy in [MergeStrategy::None, MergeStrategy::Old, MergeStrategy::New] {
-            let flow = match run_flow(&g, strategy, &synth_config) {
+            let flow = match run_flow(
+                &g,
+                strategy,
+                &synth_config,
+                &mut Recorder::disabled(),
+                &mut TraceLog::disabled(),
+            ) {
                 Ok(f) => f,
                 Err(e) => {
                     eprintln!("case {case} {strategy}: synthesis error {e}");

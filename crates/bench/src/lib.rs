@@ -28,10 +28,10 @@ use std::time::Duration;
 
 use dp_dfg::gen::random_inputs;
 use dp_dfg::Dfg;
-use dp_metrics::FlowMetrics;
+use dp_metrics::{FlowMetrics, Recorder};
 use dp_netlist::{Library, Netlist};
 use dp_opt::{optimize, OptConfig};
-use dp_synth::{run_flow, FlowResult, MergeStrategy, SynthConfig};
+use dp_synth::{run_flow, FlowResult, MergeStrategy, SynthConfig, TraceLog};
 use dp_testcases::Testcase;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -123,7 +123,8 @@ pub fn measure_flow(
     lib: &Library,
 ) -> (FlowMeasure, Netlist) {
     let FlowResult { mut netlist, clustering, metrics, .. } =
-        run_flow(g, strategy, config).expect("synthesis succeeds on valid designs");
+        run_flow(g, strategy, config, &mut Recorder::disabled(), &mut TraceLog::disabled())
+            .expect("synthesis succeeds on valid designs");
     dp_opt::fold_constants(&mut netlist);
     netlist = netlist.sweep();
     verify_equivalence(g, &netlist, 20);

@@ -4,7 +4,7 @@
 //! no corruption of an intermediate artifact can escape as a panic or a
 //! silently-wrong netlist. This crate *earns* that claim: a seeded
 //! [`FaultInjector`] corrupts exactly one artifact at a stage boundary
-//! (via the `fault-inject` hooks), the flow runs to completion under
+//! (via the [`FlowFault`] hooks), the flow runs to completion under
 //! `catch_unwind`, and the resulting netlist is differentially re-checked
 //! against the untouched design with vectors the flow never saw. Every
 //! injected fault must land in one of three acceptable buckets:
@@ -37,7 +37,7 @@ use dp_dfg::{Dfg, NodeId, NodeKind};
 use dp_merge::Clustering;
 use dp_metrics::Recorder;
 use dp_synth::{
-    run_flow_guarded_hooked, DegradationReport, FlowBudget, FlowFault, GuardedFlow, MergeStrategy,
+    run_flow_guarded_with, DegradationReport, FlowBudget, FlowFault, GuardedFlow, MergeStrategy,
     SynthConfig, SynthError,
 };
 use dp_trace::TraceLog;
@@ -320,12 +320,12 @@ pub fn run_case(
     let mut injector = FaultInjector::new(class, seed);
     let mut tr = TraceLog::new();
     let result = catch_unwind(AssertUnwindSafe(|| {
-        run_flow_guarded_hooked(
+        run_flow_guarded_with(
             g,
             MergeStrategy::New,
             config,
             budget,
-            &mut injector,
+            Some(&mut injector),
             &mut Recorder::disabled(),
             &mut tr,
         )

@@ -1,7 +1,7 @@
 //! The three clustering strategies compared in the paper's evaluation.
 
 use dp_analysis::{
-    huffman_bound, info_content_with, optimize_widths_with, IntrinsicOverrides, TransformReport,
+    huffman_bound, info_content_with, optimize_widths, IntrinsicOverrides, TransformReport,
 };
 use dp_dfg::Dfg;
 use dp_metrics::Recorder;
@@ -56,32 +56,20 @@ pub fn cluster_leakage(g: &Dfg) -> Clustering {
 /// Returns the final clustering and a report. The graph is mutated (width
 /// transformations), which is why this takes `&mut Dfg`; functional
 /// equivalence is preserved throughout.
-pub fn cluster_max(g: &mut Dfg) -> (Clustering, MergeReport) {
-    cluster_max_with(g, &mut Recorder::disabled(), &mut TraceLog::disabled())
-}
-
-/// [`cluster_max`] with timing spans and decision provenance: the width
-/// pipeline's rounds and passes (via [`optimize_widths_with`]), then one
-/// span per clustering iteration with children for the information-content
-/// sweep, break-node detection, cluster extraction, and Huffman
-/// rebalancing.
 ///
-/// The trace records every width change, each `HUFFMAN-COMBINE` intrinsic
-/// refinement, and — once the iteration has settled — the *final* break
-/// classifications (`BREAK-*`) and cluster assignments (`CLUSTER-MERGE`).
-/// Intermediate rounds' break decisions are deliberately not logged: they
-/// are superseded by later refinements and would read as contradictions.
-pub fn cluster_max_with(
-    g: &mut Dfg,
-    rec: &mut Recorder,
-    tr: &mut TraceLog,
-) -> (Clustering, MergeReport) {
-    let whole = rec.span("cluster_max");
-    let transform = optimize_widths_with(g, rec, tr);
-    let mut overrides = IntrinsicOverrides::new();
-    let (clustering, mut report) = refine_clusters_with(g, &mut overrides, rec, tr);
+/// This is [`optimize_widths`](dp_analysis::optimize_widths) followed by
+/// [`refine_clusters_with`] without spans or provenance; the instrumented
+/// flow (`dp_synth::run_flow`) composes the same two calls under a
+/// `cluster_max` span.
+pub fn cluster_max(g: &mut Dfg) -> (Clustering, MergeReport) {
+    let transform = optimize_widths(g);
+    let (clustering, mut report) = refine_clusters_with(
+        g,
+        &mut IntrinsicOverrides::new(),
+        &mut Recorder::disabled(),
+        &mut TraceLog::disabled(),
+    );
     report.transform = transform;
-    rec.finish(whole);
     (clustering, report)
 }
 

@@ -7,7 +7,7 @@
 //!
 //! * [`Recorder`]/[`SpanRecord`] — hierarchical wall-clock timing spans.
 //!   Instrumented entry points (`optimize_widths_with`,
-//!   `cluster_max_with`, `run_flow_with`, `Verifier::run_with`) accept a
+//!   `synthesize_with`, `run_flow`, `Verifier::run_with`) accept a
 //!   recorder and tag each phase: width-pipeline rounds and passes,
 //!   clustering rounds, CSA-tree synthesis, verifier passes. The plain
 //!   wrappers pass [`Recorder::disabled`], which costs nothing.

@@ -88,7 +88,7 @@ impl Recorder {
     }
 
     /// A no-op recorder: spans are free and nothing is stored. This is
-    /// what the un-instrumented wrappers (`run_flow`, `cluster_max`, …)
+    /// what the un-instrumented wrappers (`run_flow_guarded`, `cluster_max`, …)
     /// pass internally.
     pub fn disabled() -> Recorder {
         Recorder::with_level(Level::Off)

@@ -41,19 +41,16 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use dp_analysis::IntrinsicOverrides;
-use dp_bitvec::BitVec;
-use dp_dfg::gen::random_inputs;
 use dp_dfg::{canonical_form, decode_canonical, encode_canonical, Dfg};
 use dp_merge::refine_clusters_with;
 use dp_metrics::{Json, Recorder, Watchdog};
 use dp_netlist::{Library, Netlist};
 use dp_synth::{
-    run_flow_guarded, synthesize_watched, AdderKind, FlowBudget, MergeStrategy, ReductionKind,
-    SynthConfig, SynthError,
+    run_flow_guarded, synthesize_watched, AdderKind, AuditOracle, FlowBudget, MergeStrategy,
+    ReductionKind, SynthConfig, SynthError,
 };
 use dp_testcases::named_design;
 use dp_trace::TraceLog;
-use rand::{rngs::StdRng, SeedableRng};
 
 use crate::codec::{
     config_fingerprint, decode_cluster_artifact, decode_netlist_artifact, encode_cluster_artifact,
@@ -465,7 +462,8 @@ impl Service {
         // The differential-audit oracle: fixed vectors, reference outputs
         // evaluated on the *request's* design — a hit must match the
         // design the client sent, not the design that filled the cache.
-        let oracle = Oracle::new(&g, &budget).map_err(|m| typed("graph", 5, m))?;
+        let oracle = AuditOracle::new(&g, budget.check_seed, budget.check_vectors.max(1))
+            .map_err(|m| typed("graph", 5, m))?;
         let keys = Keys::new(&form.hash, req.strategy, &req.config);
 
         if let Some(success) = self.try_netlist_hit(&keys, &oracle, &form.hash)? {
@@ -489,7 +487,7 @@ impl Service {
     fn try_netlist_hit(
         &self,
         keys: &Keys,
-        oracle: &Oracle,
+        oracle: &AuditOracle,
         hash: &str,
     ) -> Result<Option<Success>, Failure> {
         let Some(payload) = self.store_get(ArtifactKind::Netlist, &keys.netlist) else {
@@ -505,7 +503,7 @@ impl Service {
                 return Ok(None);
             }
         };
-        if let Some(defect) = oracle.audit_netlist(&nl) {
+        if let Some(defect) = audit_stored_netlist(oracle, &nl) {
             self.store_quarantine(ArtifactKind::Netlist, &keys.netlist, &defect);
             return Ok(None);
         }
@@ -526,7 +524,7 @@ impl Service {
         &self,
         req: &Request,
         keys: &Keys,
-        oracle: &Oracle,
+        oracle: &AuditOracle,
         hash: &str,
         budget: &FlowBudget,
     ) -> Result<Option<Success>, Failure> {
@@ -540,14 +538,14 @@ impl Service {
                 return Ok(None);
             }
         };
-        if let Some(defect) = oracle.audit_interface(&graph) {
+        if let Some(defect) = oracle.audit_interface(&graph, "stored artifact") {
             self.store_quarantine(ArtifactKind::Cluster, &keys.cluster, &defect);
             return Ok(None);
         }
         let wd = budget.watchdog();
         match synthesize_watched(&graph, &clustering, &req.config, &mut Recorder::disabled(), &wd) {
             Ok((nl, csa)) => {
-                if let Some(defect) = oracle.audit_netlist(&nl) {
+                if let Some(defect) = audit_stored_netlist(oracle, &nl) {
                     self.store_quarantine(ArtifactKind::Cluster, &keys.cluster, &defect);
                     return Ok(None);
                 }
@@ -581,7 +579,7 @@ impl Service {
         &self,
         req: &Request,
         keys: &Keys,
-        oracle: &Oracle,
+        oracle: &AuditOracle,
         hash: &str,
         budget: &FlowBudget,
     ) -> Result<Option<Success>, Failure> {
@@ -595,7 +593,9 @@ impl Service {
                 return Ok(None);
             }
         };
-        if let Some(defect) = oracle.audit_interface(&graph).or_else(|| oracle.audit_graph(&graph))
+        if let Some(defect) = oracle
+            .audit_interface(&graph, "stored artifact")
+            .or_else(|| oracle.audit_graph(&graph, "stored graph", |i| i.to_string()))
         {
             self.store_quarantine(ArtifactKind::Analysis, &keys.analysis, &defect);
             return Ok(None);
@@ -612,7 +612,7 @@ impl Service {
         }
         match synthesize_watched(&graph, &clustering, &req.config, &mut Recorder::disabled(), &wd) {
             Ok((nl, csa)) => {
-                if let Some(defect) = oracle.audit_netlist(&nl) {
+                if let Some(defect) = audit_stored_netlist(oracle, &nl) {
                     self.store_quarantine(ArtifactKind::Analysis, &keys.analysis, &defect);
                     return Ok(None);
                 }
@@ -816,95 +816,11 @@ impl Keys {
     }
 }
 
-/// The per-request differential-audit oracle: fixed-seed vectors and the
-/// request design's reference outputs. Cached artifacts are synthesized
-/// from the canonical twin, whose interface corresponds to the request's
-/// positionally, so audits compare output position by output position.
-struct Oracle {
-    inputs: Vec<usize>,
-    outputs: Vec<usize>,
-    lanes: Vec<Vec<BitVec>>,
-    expect: Vec<Vec<BitVec>>,
-}
-
-impl Oracle {
-    fn new(g: &Dfg, budget: &FlowBudget) -> Result<Oracle, String> {
-        let mut rng = StdRng::seed_from_u64(budget.check_seed);
-        let lanes: Vec<Vec<BitVec>> =
-            (0..budget.check_vectors.max(1)).map(|_| random_inputs(g, &mut rng)).collect();
-        let mut expect = Vec::with_capacity(lanes.len());
-        for inputs in &lanes {
-            let eval = g
-                .evaluate_full_prevalidated(inputs)
-                .map_err(|e| format!("reference evaluation failed: {e}"))?;
-            expect.push(g.outputs().iter().map(|&o| eval.result(o).clone()).collect());
-        }
-        let inputs = g.inputs().iter().map(|&n| g.node(n).width()).collect();
-        let outputs = g.outputs().iter().map(|&n| g.node(n).width()).collect();
-        Ok(Oracle { inputs, outputs, lanes, expect })
-    }
-
-    /// Positional interface compatibility of a stored graph with the
-    /// request design (counts and widths).
-    fn audit_interface(&self, cand: &Dfg) -> Option<String> {
-        if cand.inputs().len() != self.inputs.len() || cand.outputs().len() != self.outputs.len() {
-            return Some("stored artifact interface mismatch: port counts differ".to_string());
-        }
-        for (k, (&n, w)) in cand.inputs().iter().zip(&self.inputs).enumerate() {
-            if cand.node(n).width() != *w {
-                return Some(format!("stored artifact interface mismatch: input {k} width"));
-            }
-        }
-        for (k, (&n, w)) in cand.outputs().iter().zip(&self.outputs).enumerate() {
-            if cand.node(n).width() != *w {
-                return Some(format!("stored artifact interface mismatch: output {k} width"));
-            }
-        }
-        None
-    }
-
-    /// Differential evaluation of a stored graph against the reference.
-    fn audit_graph(&self, cand: &Dfg) -> Option<String> {
-        for (k, (inputs, expect)) in self.lanes.iter().zip(&self.expect).enumerate() {
-            let got = match cand.evaluate_full_prevalidated(inputs) {
-                Ok(v) => v,
-                Err(e) => return Some(format!("stored graph evaluation failed: {e}")),
-            };
-            for (i, (&o, want)) in cand.outputs().iter().zip(expect).enumerate() {
-                if got.result(o) != want {
-                    return Some(format!(
-                        "stored graph differs from design on vector {k} at output {i}"
-                    ));
-                }
-            }
-        }
-        None
-    }
-
-    /// Differential simulation of a stored/rebuilt netlist against the
-    /// reference.
-    fn audit_netlist(&self, nl: &Netlist) -> Option<String> {
-        if let Err(e) = nl.check() {
-            return Some(format!("stored netlist check failed: {e}"));
-        }
-        let batch = match nl.simulate_batch(&self.lanes) {
-            Ok(v) => v,
-            Err(e) => return Some(format!("stored netlist simulation failed: {e}")),
-        };
-        for (k, (expect, got)) in self.expect.iter().zip(&batch).enumerate() {
-            if got.len() != expect.len() {
-                return Some("stored netlist interface mismatch: output counts differ".to_string());
-            }
-            for (i, (want, have)) in expect.iter().zip(got).enumerate() {
-                if want != have {
-                    return Some(format!(
-                        "stored netlist differs from design on vector {k} at output {i}"
-                    ));
-                }
-            }
-        }
-        None
-    }
+/// Audits a stored or rebuilt netlist against the request's design.
+/// Cached artifacts come from the design's canonical twin, whose ports
+/// match the request's by position, so findings cite output positions.
+fn audit_stored_netlist(oracle: &AuditOracle, nl: &Netlist) -> Option<String> {
+    oracle.audit_netlist(nl, "stored netlist", |i| i.to_string())
 }
 
 fn parse_request(line: &str, index: usize) -> Result<Request, (String, WorkerError)> {

@@ -9,7 +9,7 @@ use crate::product::{emit_product, emit_signal, Operand};
 use crate::{AdderKind, Columns, SignalTable, SynthConfig};
 
 /// Per-cluster synthesis statistics — the QoR counters one call to
-/// [`synthesize_sum_with`] contributes.
+/// [`synthesize_sum`] contributes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SumStats {
     /// Carry-save reduction stages performed (0 when the columns already
@@ -21,7 +21,8 @@ pub struct SumStats {
 }
 
 /// Synthesizes a sum of addends into gates, returning the output bits
-/// (width `sum.width`, least significant first).
+/// (width `sum.width`, least significant first) and the cluster's
+/// [`SumStats`].
 ///
 /// `signals` maps every external source node referenced by the sum to its
 /// already-synthesized bit nets (the full source width; the sum taps the
@@ -35,20 +36,6 @@ pub struct SumStats {
 ///
 /// Panics if a referenced source node is missing from `signals`.
 pub fn synthesize_sum(
-    nl: &mut Netlist,
-    sum: &SumOfAddends,
-    signals: &SignalTable,
-    config: &SynthConfig,
-) -> Vec<NetId> {
-    synthesize_sum_with(nl, sum, signals, config).0
-}
-
-/// [`synthesize_sum`] plus the cluster's [`SumStats`].
-///
-/// # Panics
-///
-/// Panics if a referenced source node is missing from `signals`.
-pub fn synthesize_sum_with(
     nl: &mut Netlist,
     sum: &SumOfAddends,
     signals: &SignalTable,
@@ -151,7 +138,7 @@ mod tests {
         signals.insert(a, nl.input("a", 4));
         signals.insert(b, nl.input("b", 4));
         signals.insert(c, nl.input("c", 4));
-        let out = synthesize_sum(&mut nl, &sum, &signals, &SynthConfig::default());
+        let (out, _) = synthesize_sum(&mut nl, &sum, &signals, &SynthConfig::default());
         nl.output("o", out);
         nl.check().unwrap();
 
@@ -186,7 +173,7 @@ mod tests {
         let mut nl = Netlist::new();
         let mut signals = SignalTable::default();
         signals.insert(a, nl.input("a", 4));
-        let out = synthesize_sum(&mut nl, &sum, &signals, &SynthConfig::default());
+        let (out, _) = synthesize_sum(&mut nl, &sum, &signals, &SynthConfig::default());
         nl.output("o", out);
         assert_eq!(nl.num_gates(), 0, "extension is wiring, not logic");
         let got = nl.simulate(&[BitVec::from_i64(4, -3)]).unwrap();

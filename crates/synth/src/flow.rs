@@ -3,21 +3,21 @@
 use std::error::Error;
 use std::fmt;
 
-use dp_analysis::info_content;
+use dp_analysis::{info_content, optimize_widths_with, IntrinsicOverrides, PipelineBudget};
 use dp_bitvec::Signedness;
 use dp_dfg::{Dfg, NodeKind, ValidateErrors};
 use dp_merge::{
-    cluster_leakage, cluster_max_with, cluster_none, linearize_cluster, ClusterError, Clustering,
-    LinearizeError, MergeReport,
+    cluster_leakage, cluster_none, linearize_cluster, refine_clusters_with, ClusterError,
+    Clustering, LinearizeError, MergeReport,
 };
 use dp_metrics::{FlowMetrics, Recorder, Watchdog};
 use dp_netlist::{Library, NetId, Netlist};
 use dp_trace::TraceLog;
 
-use crate::cluster::synthesize_sum_with;
+use crate::cluster::synthesize_sum;
 use crate::{SignalTable, SynthConfig};
 
-/// Error from [`synthesize`].
+/// Error from [`synthesize_watched`] and the flows built on it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SynthError {
     /// The input graph failed validation (every defect is carried).
@@ -78,23 +78,6 @@ impl From<LinearizeError> for SynthError {
     }
 }
 
-/// Synthesizes a clustered DFG into a gate-level netlist whose input and
-/// output buses match the DFG's primary inputs and outputs (same names,
-/// widths and order).
-///
-/// # Errors
-///
-/// Returns [`SynthError`] if the graph or clustering is malformed.
-///
-/// See the [crate documentation](crate) for an example.
-pub fn synthesize(
-    g: &Dfg,
-    clustering: &Clustering,
-    config: &SynthConfig,
-) -> Result<Netlist, SynthError> {
-    Ok(synthesize_with(g, clustering, config, &mut Recorder::disabled())?.0)
-}
-
 /// Aggregate carry-save statistics over all clusters of one synthesis
 /// run, folded from each cluster's [`SumStats`](crate::SumStats).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -106,13 +89,19 @@ pub struct CsaStats {
     pub cpa_count: usize,
 }
 
-/// [`synthesize`] with timing spans and aggregated [`CsaStats`]: the
-/// returned stats carry the deepest carry-save reduction across clusters
-/// and the number of final carry-propagate adders instantiated.
+/// Synthesizes a clustered DFG into a gate-level netlist whose input and
+/// output buses match the DFG's primary inputs and outputs (same names,
+/// widths and order), with timing spans and aggregated [`CsaStats`]: the
+/// deepest carry-save reduction across clusters and the number of final
+/// carry-propagate adders instantiated.
+///
+/// This is [`synthesize_watched`] without supervision.
 ///
 /// # Errors
 ///
 /// Returns [`SynthError`] if the graph or clustering is malformed.
+///
+/// See the [crate documentation](crate) for an example.
 pub fn synthesize_with(
     g: &Dfg,
     clustering: &Clustering,
@@ -122,7 +111,8 @@ pub fn synthesize_with(
     synthesize_watched(g, clustering, config, rec, &Watchdog::disabled())
 }
 
-/// [`synthesize_with`] under cooperative supervision: `wd` is checked
+/// [`synthesize_with`] under cooperative supervision, and the one
+/// implementation behind every synthesis entry point: `wd` is checked
 /// (amortized) per emitted node, so a deadline or memory-ceiling breach
 /// aborts mid-emission with [`SynthError::Budget`] instead of finishing a
 /// multi-second cluster sweep first. The guarded flow driver and the
@@ -181,7 +171,7 @@ pub fn synthesize_watched(
                 let k = cluster_of_output[n.index()];
                 if k != usize::MAX {
                     let sum = linearize_cluster(g, &clustering.clusters[k], &ic)?;
-                    let (bits, s) = synthesize_sum_with(&mut nl, &sum, &signals, config);
+                    let (bits, s) = synthesize_sum(&mut nl, &sum, &signals, config);
                     stats.csa_depth = stats.csa_depth.max(s.csa_stages);
                     stats.cpa_count += usize::from(s.used_cpa);
                     signals.insert(n, bits);
@@ -245,7 +235,8 @@ impl fmt::Display for MergeStrategy {
     }
 }
 
-/// The outcome of [`run_flow`].
+/// The outcome of [`run_flow`] and of the guarded flow
+/// ([`GuardedFlow::flow`](crate::GuardedFlow::flow)).
 #[derive(Debug, Clone)]
 pub struct FlowResult {
     /// The synthesized netlist.
@@ -275,10 +266,7 @@ impl FlowResult {
         m.area = self.netlist.area(lib);
         m
     }
-}
 
-#[cfg(feature = "verify")]
-impl FlowResult {
     /// Audits this flow's graph, clustering and netlist with the
     /// [`dp_verify`] checker passes. Strict (fixpoint-assuming) checks are
     /// armed only for [`MergeStrategy::New`], the one strategy that runs
@@ -296,62 +284,28 @@ impl FlowResult {
     }
 }
 
-/// Runs one end-to-end synthesis flow on a copy of `g`: clustering with
-/// the chosen strategy, then CSA-tree synthesis.
-///
-/// # Errors
-///
-/// Returns [`SynthError`] if the graph is malformed.
-pub fn run_flow(
-    g: &Dfg,
-    strategy: MergeStrategy,
-    config: &SynthConfig,
-) -> Result<FlowResult, SynthError> {
-    run_flow_with(g, strategy, config, &mut Recorder::disabled(), &mut TraceLog::disabled())
-}
-
 /// Total operator-node plus edge width of a graph, the two QoR width
 /// figures the paper's transformations shrink.
-pub(crate) fn widths(g: &Dfg) -> (usize, usize) {
+fn widths(g: &Dfg) -> (usize, usize) {
     let nodes = g.total_op_width();
     let edges = g.edge_ids().map(|e| g.edge(e).width()).sum();
     (nodes, edges)
 }
 
-/// [`run_flow`] with timing spans (clustering and synthesis stages nested
-/// under one `flow` root), the [`FlowResult::metrics`] QoR counters
-/// populated, and decision provenance recorded into `tr` (only the
-/// [`MergeStrategy::New`] flow makes traced decisions — the baselines run
-/// no width pipeline and classify breaks without the instrumented
-/// analysis).
-///
-/// # Errors
-///
-/// Returns [`SynthError`] if the graph is malformed.
-pub fn run_flow_with(
+/// The structural [`FlowMetrics`] of a finished flow: widths of the input
+/// design `g` against the synthesized `graph`, cluster and carry-save
+/// counts, and the width pipeline's counters when `merge` carries them.
+pub(crate) fn flow_metrics(
     g: &Dfg,
     strategy: MergeStrategy,
-    config: &SynthConfig,
-    rec: &mut Recorder,
-    tr: &mut TraceLog,
-) -> Result<FlowResult, SynthError> {
-    let whole = rec.span(format!("flow {strategy}"));
+    graph: &Dfg,
+    clustering: &Clustering,
+    netlist: &Netlist,
+    csa: CsaStats,
+    merge: Option<&MergeReport>,
+) -> FlowMetrics {
     let (node_width_before, edge_width_before) = widths(g);
-    let mut graph = g.clone();
-    let cl = rec.span("clustering");
-    let (clustering, merge) = match strategy {
-        MergeStrategy::None => (cluster_none(&graph), None),
-        MergeStrategy::Old => (cluster_leakage(&graph), None),
-        MergeStrategy::New => {
-            let (c, r) = cluster_max_with(&mut graph, rec, tr);
-            (c, Some(r))
-        }
-    };
-    rec.finish(cl);
-    let (netlist, csa) = synthesize_with(&graph, &clustering, config, rec)?;
-    rec.finish(whole);
-
-    let (node_width_after, edge_width_after) = widths(&graph);
+    let (node_width_after, edge_width_after) = widths(graph);
     let mut metrics = FlowMetrics {
         strategy: strategy.to_string(),
         node_width_before,
@@ -364,7 +318,7 @@ pub fn run_flow_with(
         gates: netlist.num_gates(),
         ..FlowMetrics::default()
     };
-    if let Some(r) = &merge {
+    if let Some(r) = merge {
         metrics.transform_rounds = r.transform.rounds;
         metrics.transform_converged = r.transform.converged;
         metrics.worklist_pushes = r.transform.worklist_pushes();
@@ -375,6 +329,49 @@ pub fn run_flow_with(
         // No width pipeline ran, so there was trivially nothing left to do.
         metrics.transform_converged = true;
     }
+    metrics
+}
+
+/// Runs one end-to-end synthesis flow on a copy of `g`: clustering with
+/// the chosen strategy, then CSA-tree synthesis. Timing spans go to `rec`
+/// (clustering and synthesis stages nested under one `flow` root) and
+/// decision provenance to `tr` (only the [`MergeStrategy::New`] flow makes
+/// traced decisions — the baselines run no width pipeline and classify
+/// breaks without the instrumented analysis); pass
+/// [`Recorder::disabled`] and [`TraceLog::disabled`] to record nothing.
+/// The [`FlowResult::metrics`] QoR counters are always populated.
+///
+/// # Errors
+///
+/// Returns [`SynthError`] if the graph is malformed.
+pub fn run_flow(
+    g: &Dfg,
+    strategy: MergeStrategy,
+    config: &SynthConfig,
+    rec: &mut Recorder,
+    tr: &mut TraceLog,
+) -> Result<FlowResult, SynthError> {
+    let whole = rec.span(format!("flow {strategy}"));
+    let mut graph = g.clone();
+    let cl = rec.span("clustering");
+    let (clustering, merge) = match strategy {
+        MergeStrategy::None => (cluster_none(&graph), None),
+        MergeStrategy::Old => (cluster_leakage(&graph), None),
+        MergeStrategy::New => {
+            // `dp_merge::cluster_max` with spans and provenance.
+            let span = rec.span("cluster_max");
+            let transform = optimize_widths_with(&mut graph, &PipelineBudget::default(), rec, tr);
+            let (c, mut r) = refine_clusters_with(&graph, &mut IntrinsicOverrides::new(), rec, tr);
+            r.transform = transform;
+            rec.finish(span);
+            (c, Some(r))
+        }
+    };
+    rec.finish(cl);
+    let (netlist, csa) = synthesize_with(&graph, &clustering, config, rec)?;
+    rec.finish(whole);
+
+    let mut metrics = flow_metrics(g, strategy, &graph, &clustering, &netlist, csa, merge.as_ref());
     if strategy == MergeStrategy::New {
         // Static layer over the final graph: what the fine lattices prove
         // beyond RP/IC, as QoR counters and ABSINT-* provenance events.
@@ -422,8 +419,14 @@ mod tests {
         for case in 0..15 {
             let g = random_dfg(&mut rng, &GenConfig { num_ops: 8, ..GenConfig::default() });
             for strategy in [MergeStrategy::None, MergeStrategy::Old, MergeStrategy::New] {
-                let flow = run_flow(&g, strategy, &SynthConfig::default())
-                    .unwrap_or_else(|e| panic!("case {case} {strategy}: {e}"));
+                let flow = run_flow(
+                    &g,
+                    strategy,
+                    &SynthConfig::default(),
+                    &mut Recorder::disabled(),
+                    &mut TraceLog::disabled(),
+                )
+                .unwrap_or_else(|e| panic!("case {case} {strategy}: {e}"));
                 flow.netlist.check().unwrap();
                 // The transformed graph is itself equivalent to g, so
                 // checking against the original covers both steps.
@@ -439,7 +442,14 @@ mod tests {
         for adder in [AdderKind::Ripple, AdderKind::CarrySelect, AdderKind::KoggeStone] {
             for reduction in [ReductionKind::Wallace, ReductionKind::Dadda] {
                 let config = SynthConfig { adder, reduction, ..SynthConfig::default() };
-                let flow = run_flow(&g, MergeStrategy::New, &config).unwrap();
+                let flow = run_flow(
+                    &g,
+                    MergeStrategy::New,
+                    &config,
+                    &mut Recorder::disabled(),
+                    &mut TraceLog::disabled(),
+                )
+                .unwrap();
                 assert_equivalent(&g, &flow.netlist, &mut rng, 10);
             }
         }
@@ -461,8 +471,22 @@ mod tests {
         g.output("r", 18, s2, Unsigned);
 
         let config = SynthConfig::default();
-        let none = run_flow(&g, MergeStrategy::None, &config).unwrap();
-        let new = run_flow(&g, MergeStrategy::New, &config).unwrap();
+        let none = run_flow(
+            &g,
+            MergeStrategy::None,
+            &config,
+            &mut Recorder::disabled(),
+            &mut TraceLog::disabled(),
+        )
+        .unwrap();
+        let new = run_flow(
+            &g,
+            MergeStrategy::New,
+            &config,
+            &mut Recorder::disabled(),
+            &mut TraceLog::disabled(),
+        )
+        .unwrap();
         assert_eq!(new.clustering.len(), 1);
         assert_eq!(none.clustering.len(), 5);
         let d_none = none.netlist.longest_path(&lib).delay_ns;
@@ -479,7 +503,14 @@ mod tests {
         let a = g.input("alpha", 5);
         let n = g.op(OpKind::Neg, 6, &[(a, Signed)]);
         g.output("omega", 6, n, Signed);
-        let flow = run_flow(&g, MergeStrategy::New, &SynthConfig::default()).unwrap();
+        let flow = run_flow(
+            &g,
+            MergeStrategy::New,
+            &SynthConfig::default(),
+            &mut Recorder::disabled(),
+            &mut TraceLog::disabled(),
+        )
+        .unwrap();
         assert_eq!(flow.netlist.inputs().len(), 1);
         assert_eq!(flow.netlist.inputs()[0].0, "alpha");
         assert_eq!(flow.netlist.inputs()[0].1.len(), 5);
@@ -496,19 +527,32 @@ mod tests {
         let c = g.constant(BitVec::from_u64(4, 5));
         let m = g.op(OpKind::Mul, 8, &[(a, Unsigned), (c, Unsigned)]);
         g.output("o", 8, m, Unsigned);
-        let flow = run_flow(&g, MergeStrategy::New, &SynthConfig::default()).unwrap();
+        let flow = run_flow(
+            &g,
+            MergeStrategy::New,
+            &SynthConfig::default(),
+            &mut Recorder::disabled(),
+            &mut TraceLog::disabled(),
+        )
+        .unwrap();
         let out = flow.netlist.simulate(&[BitVec::from_u64(4, 7)]).unwrap();
         assert_eq!(out[0].to_u64(), Some(35));
     }
 
-    #[cfg(feature = "verify")]
     #[test]
     fn flow_results_verify_clean() {
         let mut rng = StdRng::seed_from_u64(0xF12);
         for case in 0..5 {
             let g = random_dfg(&mut rng, &GenConfig { num_ops: 8, ..GenConfig::default() });
             for strategy in [MergeStrategy::None, MergeStrategy::Old, MergeStrategy::New] {
-                let flow = run_flow(&g, strategy, &SynthConfig::default()).unwrap();
+                let flow = run_flow(
+                    &g,
+                    strategy,
+                    &SynthConfig::default(),
+                    &mut Recorder::disabled(),
+                    &mut TraceLog::disabled(),
+                )
+                .unwrap();
                 let report = flow.verify(Some(&g));
                 assert!(
                     !report.has_errors(),

@@ -7,18 +7,19 @@
 //! the same stages under a [`FlowBudget`] and audits each stage's artifact
 //! before building on it:
 //!
-//! 1. **Widths** — the budgeted pipeline
-//!    ([`optimize_widths_budgeted_with`]) must finish within budget, keep
-//!    the graph structurally valid, pass the `dp_verify` RP/IC audits
-//!    (with the `verify` feature), and stay functionally equivalent to the
+//! 1. **Widths** — the budgeted pipeline ([`optimize_widths_with`]) must
+//!    finish within budget, keep the graph structurally valid, pass the
+//!    `dp_verify` RP/IC audits, and stay functionally equivalent to the
 //!    input design under differential evaluation. On failure the flow
 //!    rolls back to the provably-legal **Theorem 4.2 widths only**
 //!    ([`optimize_widths_rp_only_with`]), and to the untransformed design
 //!    if even those fail.
 //! 2. **Clustering** — must pass [`Clustering::validate`] and the
-//!    cluster-legality audit. On failure the flow retreats to **singleton
-//!    clusters** (one carry-propagate adder per operator — always legal).
-//! 3. **Netlist** — must pass [`Netlist::check`] and differential
+//!    `dp_verify` cluster-legality audit. On failure the flow retreats to
+//!    **singleton clusters** (one carry-propagate adder per operator —
+//!    always legal).
+//! 3. **Netlist** — must pass
+//!    [`Netlist::check`](dp_netlist::Netlist::check) and differential
 //!    simulation against the input design. On failure the flow descends
 //!    the same ladder: singleton clusters first, then the raw design.
 //!
@@ -30,25 +31,21 @@
 //! invalid input, or a failure that survives the full ladder — produces an
 //! error, and it is always a typed [`SynthError`], never a panic.
 //!
-//! With the `fault-inject` feature, [`FlowFault`] hooks expose the stage
-//! boundaries so the `dp-fault` harness can corrupt intermediate artifacts
-//! and assert the guards catch them.
+//! [`run_flow_guarded_with`] takes an optional [`FlowFault`] hook at the
+//! stage boundaries, so the `dp-fault` harness can corrupt intermediate
+//! artifacts and assert the guards catch them.
 
 use dp_analysis::{
-    optimize_widths_budgeted_with, optimize_widths_rp_only_with, IntrinsicOverrides,
-    PipelineBudget, TransformReport,
+    optimize_widths_rp_only_with, optimize_widths_with, IntrinsicOverrides, PipelineBudget,
+    TransformReport,
 };
-use dp_bitvec::BitVec;
-use dp_dfg::gen::random_inputs;
 use dp_dfg::Dfg;
 use dp_merge::{cluster_leakage, cluster_none, refine_clusters_with, Clustering, MergeReport};
-use dp_metrics::{FlowMetrics, Recorder, Watchdog};
-use dp_netlist::Netlist;
+use dp_metrics::{Recorder, Watchdog};
 use dp_trace::{Rule, Subject, TraceLog};
-use rand::{rngs::StdRng, SeedableRng};
 
-use crate::flow::{synthesize_watched, widths, FlowResult, MergeStrategy, SynthError};
-use crate::SynthConfig;
+use crate::flow::{flow_metrics, synthesize_watched, FlowResult, MergeStrategy, SynthError};
+use crate::{AuditOracle, SynthConfig};
 
 /// Resource and audit configuration for [`run_flow_guarded`].
 ///
@@ -154,7 +151,7 @@ pub struct DegradationReport {
 
 impl DegradationReport {
     /// The `FALLBACK-*` tags of the steps, in order (as mirrored into
-    /// [`FlowMetrics::fallbacks`]).
+    /// [`FlowMetrics::fallbacks`](dp_metrics::FlowMetrics::fallbacks)).
     pub fn tags(&self) -> Vec<String> {
         self.steps.iter().map(|s| s.fallback.tag().to_string()).collect()
     }
@@ -185,7 +182,6 @@ pub struct GuardedFlow {
 /// harness). Each hook may corrupt the artifact it is handed; the guarded
 /// flow must then either detect-and-degrade or fail with a typed error —
 /// never panic, never emit a functionally wrong netlist.
-#[cfg(feature = "fault-inject")]
 pub trait FlowFault {
     /// Called after the width pipeline, before the width audit.
     fn after_widths(&mut self, _g: &mut Dfg) {}
@@ -198,49 +194,11 @@ pub trait FlowFault {
     fn after_clustering(&mut self, _g: &Dfg, _clustering: &mut Clustering) {}
 }
 
-/// Internal hook carrier so the driver is written once, with or without
-/// the `fault-inject` feature compiled in.
-struct Hook<'h> {
-    #[cfg(feature = "fault-inject")]
-    inner: Option<&'h mut dyn FlowFault>,
-    #[cfg(not(feature = "fault-inject"))]
-    inner: std::marker::PhantomData<&'h mut ()>,
-}
-
-impl Hook<'_> {
-    fn none() -> Self {
-        Hook {
-            #[cfg(feature = "fault-inject")]
-            inner: None,
-            #[cfg(not(feature = "fault-inject"))]
-            inner: std::marker::PhantomData,
-        }
-    }
-
-    fn after_widths(&mut self, _g: &mut Dfg) {
-        #[cfg(feature = "fault-inject")]
-        if let Some(h) = self.inner.as_mut() {
-            h.after_widths(_g);
-        }
-    }
-
-    fn tamper_ic(&mut self, _overrides: &mut IntrinsicOverrides) {
-        #[cfg(feature = "fault-inject")]
-        if let Some(h) = self.inner.as_mut() {
-            h.tamper_ic(_overrides);
-        }
-    }
-
-    fn after_clustering(&mut self, _g: &Dfg, _clustering: &mut Clustering) {
-        #[cfg(feature = "fault-inject")]
-        if let Some(h) = self.inner.as_mut() {
-            h.after_clustering(_g, _clustering);
-        }
-    }
-}
-
 /// [`run_flow`](crate::run_flow) with budgets, staged audits and graceful
 /// degradation.
+///
+/// This is [`run_flow_guarded_with`] without a fault hook, spans or
+/// provenance.
 ///
 /// # Errors
 ///
@@ -258,14 +216,16 @@ pub fn run_flow_guarded(
         strategy,
         config,
         budget,
+        None,
         &mut Recorder::disabled(),
         &mut TraceLog::disabled(),
     )
 }
 
-/// [`run_flow_guarded`] with timing spans and decision provenance.
-/// Degradations are recorded as `FALLBACK-*` trace events on the design's
-/// first primary output.
+/// [`run_flow_guarded`] with an optional fault-injection `hook` (the entry
+/// point of the `dpmc faultcheck` harness; `None` in production), timing
+/// spans and decision provenance. Degradations are recorded as
+/// `FALLBACK-*` trace events on the design's first primary output.
 ///
 /// # Errors
 ///
@@ -275,38 +235,7 @@ pub fn run_flow_guarded_with(
     strategy: MergeStrategy,
     config: &SynthConfig,
     budget: &FlowBudget,
-    rec: &mut Recorder,
-    tr: &mut TraceLog,
-) -> Result<GuardedFlow, SynthError> {
-    drive(g, strategy, config, budget, Hook::none(), rec, tr)
-}
-
-/// [`run_flow_guarded_with`] with fault-injection hooks — the entry point
-/// of the `dpmc faultcheck` harness.
-///
-/// # Errors
-///
-/// See [`run_flow_guarded`].
-#[cfg(feature = "fault-inject")]
-pub fn run_flow_guarded_hooked(
-    g: &Dfg,
-    strategy: MergeStrategy,
-    config: &SynthConfig,
-    budget: &FlowBudget,
-    hook: &mut dyn FlowFault,
-    rec: &mut Recorder,
-    tr: &mut TraceLog,
-) -> Result<GuardedFlow, SynthError> {
-    drive(g, strategy, config, budget, Hook { inner: Some(hook) }, rec, tr)
-}
-
-/// The staged driver behind every guarded entry point.
-fn drive(
-    g: &Dfg,
-    strategy: MergeStrategy,
-    config: &SynthConfig,
-    budget: &FlowBudget,
-    mut hook: Hook<'_>,
+    mut hook: Option<&mut dyn FlowFault>,
     rec: &mut Recorder,
     tr: &mut TraceLog,
 ) -> Result<GuardedFlow, SynthError> {
@@ -314,11 +243,11 @@ fn drive(
     // One oracle serves every differential audit of this flow. Building
     // it can only fail on a design whose reference evaluation fails —
     // nothing the fallback ladder could repair.
-    let oracle = AuditOracle::new(g, budget).map_err(SynthError::Audit)?;
+    let oracle =
+        AuditOracle::new(g, budget.check_seed, budget.check_vectors).map_err(SynthError::Audit)?;
     let whole = rec.span(format!("guarded flow {strategy}"));
     let mut report = DegradationReport::default();
     let subject = Subject::Node(g.outputs().first().map_or(0, |n| n.index()));
-    let (node_width_before, edge_width_before) = widths(g);
 
     // Stage 1: widths. Only the new-merge strategy transforms the graph.
     // `raw` tracks whether `graph` is still the untransformed design —
@@ -329,8 +258,10 @@ fn drive(
     let mut raw = true;
     if strategy == MergeStrategy::New {
         let span = rec.span("guarded widths");
-        transform = optimize_widths_budgeted_with(&mut graph, &budget.pipeline, rec, tr);
-        hook.after_widths(&mut graph);
+        transform = optimize_widths_with(&mut graph, &budget.pipeline, rec, tr);
+        if let Some(h) = hook.as_deref_mut() {
+            h.after_widths(&mut graph);
+        }
         raw = false;
         // A supervision breach (deadline / memory ceiling) aborts the
         // flow outright rather than descending the ladder: the RP-only
@@ -369,13 +300,17 @@ fn drive(
         MergeStrategy::Old => (cluster_leakage(&graph), None),
         MergeStrategy::New => {
             let mut overrides = IntrinsicOverrides::new();
-            hook.tamper_ic(&mut overrides);
+            if let Some(h) = hook.as_deref_mut() {
+                h.tamper_ic(&mut overrides);
+            }
             let (c, mut r) = refine_clusters_with(&graph, &mut overrides, rec, tr);
             r.transform = transform.clone();
             (c, Some(r))
         }
     };
-    hook.after_clustering(&graph, &mut clustering);
+    if let Some(h) = hook {
+        h.after_clustering(&graph, &mut clustering);
+    }
     if let Some(reason) = audit_clustering(&graph, &clustering, at_fixpoint) {
         let abandoned = clustering.len();
         clustering = cluster_none(&graph);
@@ -399,9 +334,11 @@ fn drive(
         if wd.poll() {
             break Err(SynthError::Budget(supervision_limit(&wd)));
         }
+        // The netlist is audited against the *input* design, not the
+        // transformed graph, so a width-stage escape is still caught here.
         let attempt =
             synthesize_watched(&graph, &clustering, config, rec, &wd).and_then(|(nl, csa)| {
-                match audit_netlist(g, &nl, &oracle) {
+                match oracle.audit_netlist(&nl, "netlist", |i| output_name(g, i)) {
                     None => Ok((nl, csa)),
                     Some(reason) => Err(SynthError::Audit(reason)),
                 }
@@ -448,31 +385,9 @@ fn drive(
     rec.finish(whole);
     let (netlist, csa) = outcome?;
 
-    let (node_width_after, edge_width_after) = widths(&graph);
-    let mut metrics = FlowMetrics {
-        strategy: strategy.to_string(),
-        node_width_before,
-        node_width_after,
-        edge_width_before,
-        edge_width_after,
-        clusters: clustering.len(),
-        csa_depth: csa.csa_depth,
-        cpa_count: csa.cpa_count,
-        gates: netlist.num_gates(),
-        degraded: !report.steps.is_empty(),
-        fallbacks: report.tags(),
-        ..FlowMetrics::default()
-    };
-    if let Some(r) = &merge {
-        metrics.transform_rounds = r.transform.rounds;
-        metrics.transform_converged = r.transform.converged;
-        metrics.worklist_pushes = r.transform.worklist_pushes();
-        metrics.ports_visited = r.transform.ports_visited();
-        metrics.ports_skipped = r.transform.ports_skipped();
-        metrics.break_nodes = r.break_nodes;
-    } else {
-        metrics.transform_converged = true;
-    }
+    let mut metrics = flow_metrics(g, strategy, &graph, &clustering, &netlist, csa, merge.as_ref());
+    metrics.degraded = !report.steps.is_empty();
+    metrics.fallbacks = report.tags();
     let flow = FlowResult { netlist, clustering, graph, strategy, merge, metrics };
     let degradation = if report.steps.is_empty() { None } else { Some(report) };
     Ok(GuardedFlow { flow, degradation })
@@ -498,122 +413,33 @@ fn audit_widths(
     if let Err(e) = graph.validate() {
         return Some(format!("transformed graph invalid: {e}"));
     }
-    #[cfg(feature = "verify")]
-    {
-        let cx = dp_verify::Context::new(graph)
-            .baseline(base)
-            .transform(transform)
-            .optimized(at_fixpoint);
-        let diags = dp_verify::Verifier::default().run(&cx);
-        if diags.has_errors() {
-            return Some(format!("verifier rejected widths: {}", first_error(&diags, graph)));
-        }
+    let cx =
+        dp_verify::Context::new(graph).baseline(base).transform(transform).optimized(at_fixpoint);
+    let diags = dp_verify::Verifier::default().run(&cx);
+    if diags.has_errors() {
+        return Some(format!("verifier rejected widths: {}", first_error(&diags, graph)));
     }
-    #[cfg(not(feature = "verify"))]
-    let _ = at_fixpoint;
-    graphs_differ(base, graph, oracle)
+    oracle.audit_graph(graph, "transformed graph", |i| output_name(base, i))
 }
 
-/// Audits a clustering for structural fit and (with the `verify` feature)
-/// break-node legality.
+/// Audits a clustering for structural fit and break-node legality.
 fn audit_clustering(graph: &Dfg, clustering: &Clustering, at_fixpoint: bool) -> Option<String> {
     if let Err(e) = clustering.validate(graph) {
         return Some(format!("clustering invalid: {e}"));
     }
-    #[cfg(feature = "verify")]
-    {
-        let cx = dp_verify::Context::new(graph).clustering(clustering).optimized(at_fixpoint);
-        let mut v = dp_verify::Verifier::new();
-        v.register(Box::new(dp_verify::ClusterLegality));
-        let diags = v.run(&cx);
-        if diags.has_errors() {
-            return Some(format!("verifier rejected clustering: {}", first_error(&diags, graph)));
-        }
-    }
-    #[cfg(not(feature = "verify"))]
-    let _ = at_fixpoint;
-    None
-}
-
-/// Audits a synthesized netlist: structural check plus differential
-/// simulation against the *input* design (not the transformed graph, so a
-/// width-stage escape is still caught here).
-fn audit_netlist(base: &Dfg, nl: &Netlist, oracle: &AuditOracle) -> Option<String> {
-    if let Err(e) = nl.check() {
-        return Some(format!("netlist check failed: {e}"));
-    }
-    // The whole lane batch evaluates in one word-parallel netlist pass;
-    // the reference outputs were computed once when the oracle was built.
-    let batch = match nl.simulate_batch(&oracle.lanes) {
-        Ok(v) => v,
-        Err(e) => return Some(format!("netlist simulation failed: {e}")),
-    };
-    for (k, (expect, got)) in oracle.expect.iter().zip(&batch).enumerate() {
-        for (i, (&o, want)) in base.outputs().iter().zip(expect).enumerate() {
-            if got[i] != *want {
-                return Some(format!(
-                    "netlist differs from design on vector {k} at output {}",
-                    base.node(o).name().unwrap_or("?")
-                ));
-            }
-        }
+    let cx = dp_verify::Context::new(graph).clustering(clustering).optimized(at_fixpoint);
+    let mut v = dp_verify::Verifier::new();
+    v.register(Box::new(dp_verify::ClusterLegality));
+    let diags = v.run(&cx);
+    if diags.has_errors() {
+        return Some(format!("verifier rejected clustering: {}", first_error(&diags, graph)));
     }
     None
 }
 
-/// The shared differential-audit oracle of one guarded flow: the fixed
-/// audit vectors and the base design's reference outputs. The width and
-/// netlist audits draw the *same* vector stream (one seed, one budget),
-/// so the reference is evaluated once up front instead of once per audit
-/// — at a hundred thousand nodes the repeated reference evaluations cost
-/// more than the stages they guard.
-struct AuditOracle {
-    /// One input vector per audit lane.
-    lanes: Vec<Vec<BitVec>>,
-    /// Per lane: the base design's outputs, in `Dfg::outputs` order.
-    expect: Vec<Vec<BitVec>>,
-}
-
-impl AuditOracle {
-    /// Draws the audit vectors and evaluates the (already validated) base
-    /// design on each.
-    fn new(base: &Dfg, budget: &FlowBudget) -> Result<AuditOracle, String> {
-        let mut rng = StdRng::seed_from_u64(budget.check_seed);
-        let lanes: Vec<Vec<BitVec>> =
-            (0..budget.check_vectors).map(|_| random_inputs(base, &mut rng)).collect();
-        let mut expect = Vec::with_capacity(lanes.len());
-        for inputs in &lanes {
-            let eval = base
-                .evaluate_full_prevalidated(inputs)
-                .map_err(|e| format!("reference evaluation failed: {e}"))?;
-            expect.push(base.outputs().iter().map(|&o| eval.result(o).clone()).collect());
-        }
-        Ok(AuditOracle { lanes, expect })
-    }
-}
-
-/// Differential evaluation of a transformed graph against the oracle's
-/// reference outputs. Returns a description of the first mismatch.
-///
-/// The transformed graph shares the base design's node ids (width
-/// transformations never renumber), so the base's output ids index its
-/// evaluation directly.
-fn graphs_differ(base: &Dfg, cand: &Dfg, oracle: &AuditOracle) -> Option<String> {
-    for (k, (inputs, expect)) in oracle.lanes.iter().zip(&oracle.expect).enumerate() {
-        let got = match cand.evaluate_full_prevalidated(inputs) {
-            Ok(v) => v,
-            Err(e) => return Some(format!("transformed graph evaluation failed: {e}")),
-        };
-        for (&o, want) in base.outputs().iter().zip(expect) {
-            if got.result(o) != want {
-                return Some(format!(
-                    "transformed graph differs from design on vector {k} at output {}",
-                    base.node(o).name().unwrap_or("?")
-                ));
-            }
-        }
-    }
-    None
+/// The name of `base`'s output at position `i`, as audit findings cite it.
+fn output_name(base: &Dfg, i: usize) -> String {
+    base.node(base.outputs()[i]).name().unwrap_or("?").to_string()
 }
 
 /// Renders the limit a tripped watchdog hit (for [`SynthError::Budget`]).
@@ -623,7 +449,6 @@ fn supervision_limit(wd: &Watchdog) -> String {
 
 /// Renders the worst diagnostic of a verify report (reports are sorted
 /// worst-first, so the first entry is an error whenever any exists).
-#[cfg(feature = "verify")]
 fn first_error(diags: &dp_verify::VerifyReport, g: &Dfg) -> String {
     diags.diagnostics().first().map_or_else(|| "unknown".to_string(), |d| d.render(g))
 }
@@ -634,6 +459,7 @@ mod tests {
     use dp_bitvec::Signedness::*;
     use dp_dfg::gen::{random_dfg, GenConfig};
     use dp_dfg::OpKind;
+    use rand::{rngs::StdRng, SeedableRng};
 
     fn sum_of_products() -> Dfg {
         let mut g = Dfg::new();
@@ -655,7 +481,14 @@ mod tests {
             assert!(guarded.degradation.is_none(), "{strategy} degraded unexpectedly");
             assert!(!guarded.flow.metrics.degraded);
             assert!(guarded.flow.metrics.fallbacks.is_empty());
-            let plain = crate::run_flow(&g, strategy, &SynthConfig::default()).unwrap();
+            let plain = crate::run_flow(
+                &g,
+                strategy,
+                &SynthConfig::default(),
+                &mut Recorder::disabled(),
+                &mut TraceLog::disabled(),
+            )
+            .unwrap();
             assert_eq!(guarded.flow.metrics, plain.metrics, "{strategy} metrics drifted");
         }
     }
@@ -702,8 +535,11 @@ mod tests {
         assert_eq!(report.steps[0].fallback, Fallback::RpOnly);
         assert!(guarded.flow.metrics.degraded);
         assert_eq!(guarded.flow.metrics.fallbacks[0], "FALLBACK-RP-ONLY");
-        let oracle = AuditOracle::new(&g, &FlowBudget::default()).unwrap();
-        assert!(audit_netlist(&g, &guarded.flow.netlist, &oracle).is_none());
+        let base = FlowBudget::default();
+        let oracle = AuditOracle::new(&g, base.check_seed, base.check_vectors).unwrap();
+        assert!(oracle
+            .audit_netlist(&guarded.flow.netlist, "netlist", |i| i.to_string())
+            .is_none());
     }
 
     #[test]
@@ -719,6 +555,7 @@ mod tests {
             MergeStrategy::New,
             &SynthConfig::default(),
             &budget,
+            None,
             &mut Recorder::disabled(),
             &mut tr,
         )
@@ -788,5 +625,55 @@ mod tests {
         let guarded =
             run_flow_guarded(&g, MergeStrategy::New, &SynthConfig::default(), &budget).unwrap();
         assert!(guarded.degradation.is_none());
+    }
+
+    /// The `dp-fault` `lie-ic-bound` fault: a one-bit intrinsic
+    /// information-content bound planted on one operator.
+    struct LieIcBound(dp_dfg::NodeId);
+
+    impl FlowFault for LieIcBound {
+        fn tamper_ic(&mut self, overrides: &mut IntrinsicOverrides) {
+            overrides.insert(self.0, dp_analysis::Ic::new(1, Unsigned));
+        }
+    }
+
+    #[test]
+    fn lying_ic_bound_is_caught_by_the_cluster_legality_audit() {
+        // `t` truncates a 9-bit sum to 4 bits before it feeds `r`: a real
+        // break node. The lie makes `t` look 1 bit wide, so refinement
+        // merges it into `r`'s cluster — still a valid partition, but an
+        // illegal merge only the break-node re-audit can see.
+        let mut g = Dfg::new();
+        let a = g.input("a", 8);
+        let b = g.input("b", 8);
+        let c = g.input("c", 8);
+        let t = g.op(OpKind::Add, 4, &[(a, Unsigned), (b, Unsigned)]);
+        let r = g.op(OpKind::Add, 9, &[(t, Unsigned), (c, Unsigned)]);
+        g.output("r", 9, r, Unsigned);
+        let healthy = run_flow_guarded(
+            &g,
+            MergeStrategy::New,
+            &SynthConfig::default(),
+            &FlowBudget::default(),
+        )
+        .unwrap();
+        assert!(healthy.degradation.is_none());
+        assert_eq!(healthy.flow.clustering.len(), 2, "t is a break: two clusters");
+
+        let guarded = run_flow_guarded_with(
+            &g,
+            MergeStrategy::New,
+            &SynthConfig::default(),
+            &FlowBudget::default(),
+            Some(&mut LieIcBound(t)),
+            &mut Recorder::disabled(),
+            &mut TraceLog::disabled(),
+        )
+        .unwrap();
+        let report = guarded.degradation.expect("the planted merge must degrade");
+        let step = &report.steps[0];
+        assert_eq!(step.stage, "clustering", "{}", report.render());
+        assert!(step.reason.starts_with("verifier rejected clustering:"), "{}", step.reason);
+        assert_eq!(step.fallback, Fallback::Singleton);
     }
 }

@@ -19,9 +19,10 @@
 //! merging pays: a merged cluster has *one* carry-propagate adder total,
 //! while unmerged synthesis pays one per operator.
 //!
-//! The top-level entry point is [`synthesize`], which turns a DFG plus a
-//! clustering into a gate-level [`dp_netlist::Netlist`] whose ports match
-//! the DFG's inputs and outputs bit-for-bit.
+//! The top-level entry point is [`synthesize_with`], which turns a DFG plus
+//! a clustering into a gate-level [`dp_netlist::Netlist`] whose ports match
+//! the DFG's inputs and outputs bit-for-bit; [`run_flow`] and
+//! [`run_flow_guarded`] wrap clustering and synthesis into one flow.
 //!
 //! # Example
 //!
@@ -29,7 +30,8 @@
 //! use dp_bitvec::{BitVec, Signedness::Unsigned};
 //! use dp_dfg::{Dfg, OpKind};
 //! use dp_merge::cluster_max;
-//! use dp_synth::{synthesize, SynthConfig};
+//! use dp_metrics::Recorder;
+//! use dp_synth::{synthesize_with, SynthConfig};
 //!
 //! // a*b + c*d — the paper's flagship sum-of-products example.
 //! let mut g = Dfg::new();
@@ -43,7 +45,9 @@
 //! g.output("r", 9, s, Unsigned);
 //!
 //! let (clustering, _) = cluster_max(&mut g);
-//! let netlist = synthesize(&g, &clustering, &SynthConfig::default()).unwrap();
+//! let (netlist, _) =
+//!     synthesize_with(&g, &clustering, &SynthConfig::default(), &mut Recorder::disabled())
+//!         .unwrap();
 //! let out = netlist.simulate(&[
 //!     BitVec::from_u64(4, 5),
 //!     BitVec::from_u64(4, 7),
@@ -61,22 +65,24 @@ mod cluster;
 mod columns;
 mod flow;
 mod guard;
+mod oracle;
 mod product;
 mod signals;
 
 pub use adders::{carry_select_add, kogge_stone_add, ripple_carry_add};
-pub use cluster::{synthesize_sum, synthesize_sum_with, SumStats};
+pub use cluster::{synthesize_sum, SumStats};
 pub use columns::Columns;
+/// The provenance sink every flow entry point takes, re-exported so
+/// callers that only drive flows need no direct `dp-trace` dependency.
+pub use dp_trace::TraceLog;
 pub use flow::{
-    run_flow, run_flow_with, synthesize, synthesize_watched, synthesize_with, CsaStats, FlowResult,
-    MergeStrategy, SynthError,
+    run_flow, synthesize_watched, synthesize_with, CsaStats, FlowResult, MergeStrategy, SynthError,
 };
 pub use guard::{
     run_flow_guarded, run_flow_guarded_with, Degradation, DegradationReport, Fallback, FlowBudget,
-    GuardedFlow,
+    FlowFault, GuardedFlow,
 };
-#[cfg(feature = "fault-inject")]
-pub use guard::{run_flow_guarded_hooked, FlowFault};
+pub use oracle::AuditOracle;
 pub use signals::SignalTable;
 
 /// Final carry-propagate adder architecture.

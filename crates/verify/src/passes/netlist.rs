@@ -141,8 +141,13 @@ mod tests {
     fn synthesized() -> (Dfg, Netlist) {
         let g = tiny_design();
         let clustering = dp_merge::cluster_none(&g);
-        let nl = dp_synth::synthesize(&g, &clustering, &dp_synth::SynthConfig::default())
-            .expect("synth");
+        let (nl, _) = dp_synth::synthesize_with(
+            &g,
+            &clustering,
+            &dp_synth::SynthConfig::default(),
+            &mut dp_metrics::Recorder::disabled(),
+        )
+        .expect("synth");
         (g, nl)
     }
 

@@ -34,9 +34,14 @@ fn full_flow_on_figure3_is_clean() {
     let base = figure3();
     let mut g = base.clone();
     let (clustering, report) = cluster_max(&mut g);
-    let nl = dp_synth::synthesize(&g, &clustering, &dp_synth::SynthConfig::default())
-        .expect("synthesis succeeds")
-        .sweep();
+    let (nl, _) = dp_synth::synthesize_with(
+        &g,
+        &clustering,
+        &dp_synth::SynthConfig::default(),
+        &mut dp_metrics::Recorder::disabled(),
+    )
+    .expect("synthesis succeeds");
+    let nl = nl.sweep();
     let cx = Context::new(&g)
         .baseline(&base)
         .clustering(&clustering)

@@ -15,7 +15,9 @@ fn main() {
     let config = SynthConfig::default();
 
     for strategy in [MergeStrategy::None, MergeStrategy::New] {
-        let flow = run_flow(&g, strategy, &config).expect("synthesis");
+        let flow =
+            run_flow(&g, strategy, &config, &mut Recorder::disabled(), &mut TraceLog::disabled())
+                .expect("synthesis");
         let t = flow.netlist.longest_path(&lib);
         println!(
             "{:<10} clusters {:>2}  delay {:>7.3} ns  area {:>8.1}  histogram {:?}",
@@ -29,7 +31,14 @@ fn main() {
 
     // Spot-check with a concrete complex product.
     // (3 - 7j) * (-120 + 9j) = -360 + 27j + 840j - 63 j^2 = -297 + 867j
-    let flow = run_flow(&g, MergeStrategy::New, &config).expect("synthesis");
+    let flow = run_flow(
+        &g,
+        MergeStrategy::New,
+        &config,
+        &mut Recorder::disabled(),
+        &mut TraceLog::disabled(),
+    )
+    .expect("synthesis");
     let inputs = vec![
         BitVec::from_i64(10, 3),
         BitVec::from_i64(10, -7),

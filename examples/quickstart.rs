@@ -24,7 +24,9 @@ fn main() {
     println!("a*b + c*d, 8-bit signed operands\n");
     println!("{:<10} {:>9} {:>12} {:>10} {:>8}", "flow", "clusters", "delay (ns)", "area", "gates");
     for strategy in [MergeStrategy::None, MergeStrategy::Old, MergeStrategy::New] {
-        let flow = run_flow(&g, strategy, &config).expect("synthesis");
+        let flow =
+            run_flow(&g, strategy, &config, &mut Recorder::disabled(), &mut TraceLog::disabled())
+                .expect("synthesis");
         let timing = flow.netlist.longest_path(&lib);
         println!(
             "{:<10} {:>9} {:>12.3} {:>10.1} {:>8}",
@@ -37,7 +39,14 @@ fn main() {
     }
 
     // Prove the merged netlist is the same function, bit for bit.
-    let flow = run_flow(&g, MergeStrategy::New, &config).expect("synthesis");
+    let flow = run_flow(
+        &g,
+        MergeStrategy::New,
+        &config,
+        &mut Recorder::disabled(),
+        &mut TraceLog::disabled(),
+    )
+    .expect("synthesis");
     let inputs = vec![
         BitVec::from_i64(8, -100),
         BitVec::from_i64(8, 37),
@@ -55,6 +64,15 @@ fn main() {
     assert_eq!(got[0], expected[&r]);
     println!(
         "merged cluster pays one carry-propagate adder; unmerged pays {}.",
-        run_flow(&g, MergeStrategy::None, &config).expect("synthesis").clustering.len()
+        run_flow(
+            &g,
+            MergeStrategy::None,
+            &config,
+            &mut Recorder::disabled(),
+            &mut TraceLog::disabled()
+        )
+        .expect("synthesis")
+        .clustering
+        .len()
     );
 }

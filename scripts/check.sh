@@ -9,13 +9,9 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
-echo "==> cargo test (verify features)"
-cargo test -q -p dp-synth --features verify
-cargo test -q -p dp-analysis --features verify
-
-echo "==> cargo test (fault-inject features)"
-cargo test -q -p dp-synth --features verify,fault-inject
-cargo test -q -p dp-fault
+echo "==> frozen benchmark API (benchmark/ builds unmodified against the crates)"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+git diff --exit-code -- benchmark BENCHMARK.json
 
 echo "==> cargo doc (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace

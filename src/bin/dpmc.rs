@@ -136,6 +136,7 @@ use datapath_merge::error::FlowError;
 use datapath_merge::fault::{check_design, FaultClass};
 use datapath_merge::obs::{self, CountingAlloc, DesignEvents};
 use datapath_merge::prelude::*;
+use datapath_merge::serve::pool::run_slots;
 
 // Every allocation in the binary is counted (thread-locally) so
 // full-telemetry spans can carry alloc/peak deltas; `obs::install` in
@@ -685,7 +686,8 @@ fn run_lint(args: &Args) -> Result<bool, FlowError> {
     let base = load_design(&args.file)?;
     let mut g = base.clone();
     let (clustering, merge_report) = cluster_max(&mut g);
-    let netlist = synthesize(&g, &clustering, &args.config)?.sweep();
+    let netlist =
+        synthesize_with(&g, &clustering, &args.config, &mut Recorder::disabled())?.0.sweep();
 
     let cx = Context::new(&g)
         .baseline(&base)
@@ -1002,10 +1004,10 @@ fn run_bench(args: &Args) -> Result<bool, FlowError> {
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
         .min(designs.len().max(1));
 
-    // Slot-indexed results (see `driver::run_slots`): worker i writes only
+    // Slot-indexed results (see `run_slots`): worker i writes only
     // its own slot, so the assembled report — and the event stream — is
     // independent of scheduling.
-    let results = driver::run_slots(designs.len(), jobs, |i| {
+    let results = run_slots(designs.len(), jobs, |i| {
         let (name, g) = &designs[i];
         driver::bench_design(name, g, &args.config, &lib, args.telemetry)
     });
@@ -1404,7 +1406,7 @@ fn run(args: &Args) -> Result<(), FlowError> {
         let mut rec = Recorder::with_level(args.telemetry);
         let mut tr = TraceLog::new();
         let guarded =
-            run_flow_guarded_with(&g, strategy, &args.config, &budget, &mut rec, &mut tr)?;
+            run_flow_guarded_with(&g, strategy, &args.config, &budget, None, &mut rec, &mut tr)?;
         if let Some(report) = &guarded.degradation {
             print!("[{strategy}] {}", report.render());
         }

@@ -1,7 +1,8 @@
 //! Shared flow-driving machinery behind `dpmc bench` and `dpmc profile`:
-//! the per-design bench building block, the slot-ordered worker pool, the
-//! self-profile runner, and the telemetry-overhead measurement that gates
-//! the observability layer's cost.
+//! the per-design bench building block, the self-profile runner, and the
+//! telemetry-overhead measurement that gates the observability layer's
+//! cost. Designs are farmed out over [`dp_serve::pool::run_slots`], the
+//! slot-ordered worker pool the synthesis service shares.
 //!
 //! Everything here is deterministic by construction: workers write only
 //! their own result slot (so `--jobs N` output is byte-identical for any
@@ -16,8 +17,8 @@ use dp_obs::{
     degrade_event, kind_events, round_events, span_events, trace_events, DesignEvents, Event,
     Profile,
 };
-pub use dp_serve::pool::{WorkerError, PANIC_EXIT_CODE, PANIC_FAMILY};
-use dp_synth::SynthError;
+pub use dp_serve::pool::WorkerError;
+use dp_synth::{FlowResult, SynthError};
 
 use crate::error::FlowError;
 use crate::prelude::*;
@@ -122,39 +123,18 @@ pub fn bench_design(
     for strategy in [MergeStrategy::Old, MergeStrategy::New] {
         let mut rec = Recorder::new();
         let mut tr = TraceLog::new();
-        let flow = run_flow_with(g, strategy, config, &mut rec, &mut tr)
+        let flow = run_flow(g, strategy, config, &mut rec, &mut tr)
             .map_err(|e| classify_flow(&format!("{name} [{strategy}]"), e))?;
-        let mut netlist = flow.netlist.clone();
-        let outer = rec.span("fold_sweep");
-        let fold = rec.span("fold_constants");
-        crate::opt::fold_constants(&mut netlist);
-        rec.finish(fold);
-        let sweep = rec.span("sweep");
-        let netlist = netlist.sweep();
-        rec.finish(sweep);
-        rec.finish(outer);
-        let sta = rec.span("sta");
-        let delay_ns = netlist.longest_path(lib).delay_ns;
-        let area = netlist.area(lib);
-        rec.finish(sta);
-        let mut cx = Context::new(&flow.graph)
-            .baseline(g)
-            .clustering(&flow.clustering)
-            .netlist(&netlist)
-            .optimized(strategy == MergeStrategy::New);
-        if let Some(m) = &flow.merge {
-            cx = cx.transform(&m.transform);
-        }
-        let report = Verifier::default().run_with(&cx, &mut rec);
+        let tail = finish_flow(g, &flow, lib, &mut rec);
 
         // QoR on the final (folded + swept) netlist, not the raw one.
         let mut metrics = flow.metrics.clone();
-        metrics.gates = netlist.num_gates();
-        metrics.delay_ns = delay_ns;
-        metrics.area = area;
-        metrics.verify_errors = report.count(Severity::Error);
-        metrics.verify_warnings = report.count(Severity::Warn);
-        metrics.verify_infos = report.count(Severity::Info);
+        metrics.gates = tail.netlist.num_gates();
+        metrics.delay_ns = tail.delay_ns;
+        metrics.area = tail.area;
+        metrics.verify_errors = tail.report.count(Severity::Error);
+        metrics.verify_warnings = tail.report.count(Severity::Warn);
+        metrics.verify_infos = tail.report.count(Severity::Info);
         let metrics_json = metrics.to_json();
 
         let mut row = Json::obj()
@@ -178,24 +158,42 @@ pub fn bench_design(
     Ok(BenchOutcome { row: Json::obj().field("design", name).field("flows", flows), events })
 }
 
-/// Runs `count` jobs on a pool of `jobs` worker threads pulling indices
-/// from a shared counter. Worker `i` writes only slot `i`, so the
-/// returned vector — and anything assembled from it in order — is
-/// independent of scheduling. A panicking job becomes an `Err` slot with
-/// the `panic` taxonomy and its payload message preserved (and must not
-/// take down its worker, which would silently drop every job that worker
-/// would have pulled next).
-///
-/// This is a thin facade over [`dp_serve::pool::run_slots`]: bench and
-/// the synthesis service share one pool, so a job failure carries the
-/// same [`WorkerError`] family/exit-code taxonomy in a bench error row
-/// as in a serve response.
-pub fn run_slots<T, F>(count: usize, jobs: usize, run: F) -> Vec<Result<T, WorkerError>>
-where
-    T: Send,
-    F: Fn(usize) -> Result<T, WorkerError> + Sync,
-{
-    dp_serve::pool::run_slots(count, jobs, run)
+/// What the shared post-flow tail produced: the folded and swept
+/// netlist, its static timing and area, and the verifier's findings.
+struct FlowTail {
+    netlist: Netlist,
+    delay_ns: f64,
+    area: f64,
+    report: VerifyReport,
+}
+
+/// The post-flow tail shared by `bench` and `profile`: constant folding
+/// and dead-gate sweep (`fold_sweep`), static timing (`sta`), then every
+/// verifier pass over the flow's artifacts, each under its span in `rec`.
+fn finish_flow(g: &Dfg, flow: &FlowResult, lib: &Library, rec: &mut Recorder) -> FlowTail {
+    let mut netlist = flow.netlist.clone();
+    let outer = rec.span("fold_sweep");
+    let fold = rec.span("fold_constants");
+    crate::opt::fold_constants(&mut netlist);
+    rec.finish(fold);
+    let sweep = rec.span("sweep");
+    let netlist = netlist.sweep();
+    rec.finish(sweep);
+    rec.finish(outer);
+    let sta = rec.span("sta");
+    let delay_ns = netlist.longest_path(lib).delay_ns;
+    let area = netlist.area(lib);
+    rec.finish(sta);
+    let mut cx = Context::new(&flow.graph)
+        .baseline(g)
+        .clustering(&flow.clustering)
+        .netlist(&netlist)
+        .optimized(flow.strategy == MergeStrategy::New);
+    if let Some(m) = &flow.merge {
+        cx = cx.transform(&m.transform);
+    }
+    let report = Verifier::default().run_with(&cx, rec);
+    FlowTail { netlist, delay_ns, area, report }
 }
 
 /// Runs the new-merge flow (plus constant folding, STA and verification)
@@ -209,30 +207,9 @@ pub fn profile_design(
 ) -> Result<Profile, WorkerError> {
     let mut rec = Recorder::new();
     let mut tr = TraceLog::new();
-    let flow = run_flow_with(g, MergeStrategy::New, config, &mut rec, &mut tr)
+    let flow = run_flow(g, MergeStrategy::New, config, &mut rec, &mut tr)
         .map_err(|e| classify_flow(name, e))?;
-    let mut netlist = flow.netlist.clone();
-    let outer = rec.span("fold_sweep");
-    let fold = rec.span("fold_constants");
-    crate::opt::fold_constants(&mut netlist);
-    rec.finish(fold);
-    let sweep = rec.span("sweep");
-    let netlist = netlist.sweep();
-    rec.finish(sweep);
-    rec.finish(outer);
-    let sta = rec.span("sta");
-    let _ = netlist.longest_path(lib).delay_ns;
-    let _ = netlist.area(lib);
-    rec.finish(sta);
-    let mut cx = Context::new(&flow.graph)
-        .baseline(g)
-        .clustering(&flow.clustering)
-        .netlist(&netlist)
-        .optimized(true);
-    if let Some(m) = &flow.merge {
-        cx = cx.transform(&m.transform);
-    }
-    let _ = Verifier::default().run_with(&cx, &mut rec);
+    finish_flow(g, &flow, lib, &mut rec);
     let kinds = flow.merge.as_ref().map(|m| m.transform.kind_counts()).unwrap_or_default();
     Ok(Profile::build(&rec, &kinds))
 }
@@ -286,7 +263,7 @@ pub fn telemetry_overhead(
     let run_at = |level: Level| -> Result<(String, Vec<Event>), WorkerError> {
         let mut rec = Recorder::with_level(level);
         let mut tr = TraceLog::new();
-        let flow = run_flow_with(g, MergeStrategy::New, config, &mut rec, &mut tr)
+        let flow = run_flow(g, MergeStrategy::New, config, &mut rec, &mut tr)
             .map_err(|e| classify_flow(&format!("{name} [{}]", level.name()), e))?;
         Ok((flow.metrics.to_json().render(), trace_events(&tr)))
     };
@@ -303,7 +280,7 @@ pub fn telemetry_overhead(
             let mut rec = Recorder::with_level(level);
             let mut tr = TraceLog::new();
             let started = Instant::now();
-            run_flow_with(g, MergeStrategy::New, config, &mut rec, &mut tr)
+            run_flow(g, MergeStrategy::New, config, &mut rec, &mut tr)
                 .map_err(|e| classify_flow(&format!("{name} [{}]", level.name()), e))?;
             best = best.min(started.elapsed());
         }
@@ -365,39 +342,6 @@ mod tests {
         let last_span = tags.iter().rposition(|&t| t == "span").expect("spans present");
         assert!(first_round > tags.iter().position(|&t| t == "span").expect("spans"));
         let _ = last_span;
-    }
-
-    #[test]
-    fn run_slots_is_slot_ordered_for_any_job_count() {
-        let run = |i: usize| -> Result<usize, WorkerError> {
-            if i == 3 {
-                Err(WorkerError::new("analysis", 6, "boom"))
-            } else {
-                Ok(i * i)
-            }
-        };
-        let one = run_slots(8, 1, run);
-        let four = run_slots(8, 4, run);
-        assert_eq!(one, four);
-        assert_eq!(one[2], Ok(4));
-        assert_eq!(one[3], Err(WorkerError::new("analysis", 6, "boom")));
-    }
-
-    #[test]
-    fn run_slots_contains_panicking_jobs_with_taxonomy() {
-        let out = run_slots(4, 2, |i| -> Result<usize, WorkerError> {
-            if i == 1 {
-                panic!("job 1 exploded");
-            }
-            Ok(i)
-        });
-        assert_eq!(out[0], Ok(0));
-        let err = out[1].clone().expect_err("job 1 panicked");
-        assert_eq!(err.family, PANIC_FAMILY);
-        assert_eq!(err.exit_code, PANIC_EXIT_CODE);
-        assert_eq!(err.message, "panicked during the run: job 1 exploded");
-        assert_eq!(out[2], Ok(2));
-        assert_eq!(out[3], Ok(3));
     }
 
     #[test]

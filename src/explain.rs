@@ -13,9 +13,12 @@
 
 use std::collections::HashMap;
 
-use dp_analysis::{info_content, required_precision, InfoAnalysis, PrecisionAnalysis};
+use dp_analysis::{
+    info_content, optimize_widths_with, required_precision, InfoAnalysis, IntrinsicOverrides,
+    PipelineBudget, PrecisionAnalysis,
+};
 use dp_dfg::{Dfg, DotAnnotations, NodeId, NodeKind};
-use dp_merge::{cluster_max_with, Clustering, MergeReport};
+use dp_merge::{refine_clusters_with, Clustering, MergeReport};
 use dp_metrics::{Json, Recorder};
 use dp_trace::{Rule, Subject, TraceEvent, TraceLog};
 
@@ -48,7 +51,11 @@ pub fn run_traced(g: &Dfg) -> Explained {
     let mut opt = g.clone();
     let mut rec = Recorder::new();
     let mut trace = TraceLog::new();
-    let (clustering, report) = cluster_max_with(&mut opt, &mut rec, &mut trace);
+    let transform =
+        optimize_widths_with(&mut opt, &PipelineBudget::default(), &mut rec, &mut trace);
+    let (clustering, mut report) =
+        refine_clusters_with(&opt, &mut IntrinsicOverrides::new(), &mut rec, &mut trace);
+    report.transform = transform;
     // Static abstract-interpretation facts over the optimized graph, so an
     // explanation also names what the fine lattices proved about the node.
     let fwd = dp_absint::ForwardAnalysis::compute(&opt);

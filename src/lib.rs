@@ -57,7 +57,8 @@
 //! let (clustering, _report) = cluster_max(&mut g);
 //! assert_eq!(clustering.len(), 1);
 //!
-//! let netlist = synthesize(&g, &clustering, &SynthConfig::default())?;
+//! let (netlist, _) =
+//!     synthesize_with(&g, &clustering, &SynthConfig::default(), &mut Recorder::disabled())?;
 //! let lib = Library::synthetic_025um();
 //! println!("delay {:.2} ns, area {:.1}", netlist.longest_path(&lib).delay_ns, netlist.area(&lib));
 //! # Ok::<(), dp_synth::SynthError>(())
@@ -98,14 +99,13 @@ pub mod prelude {
     pub use dp_bitvec::{BitVec, Signedness};
     pub use dp_dfg::{Dfg, EdgeId, NodeId, OpKind};
     pub use dp_merge::{
-        cluster_leakage, cluster_max, cluster_max_with, cluster_none, linearize_cluster, Cluster,
-        Clustering,
+        cluster_leakage, cluster_max, cluster_none, linearize_cluster, Cluster, Clustering,
     };
     pub use dp_metrics::{FlowMetrics, Json, Level, Recorder};
     pub use dp_netlist::{CellKind, Drive, Library, Netlist};
     pub use dp_opt::{optimize, OptConfig};
     pub use dp_synth::{
-        run_flow, run_flow_guarded, run_flow_guarded_with, run_flow_with, synthesize, AdderKind,
+        run_flow, run_flow_guarded, run_flow_guarded_with, synthesize_with, AdderKind,
         DegradationReport, FlowBudget, GuardedFlow, MergeStrategy, ReductionKind, SynthConfig,
     };
     pub use dp_trace::{EventId, Rule, Subject, TraceEvent, TraceLog};

@@ -24,8 +24,14 @@ fn every_design_every_flow_is_equivalent() {
     let config = SynthConfig::default();
     for t in all_designs() {
         for strategy in [MergeStrategy::None, MergeStrategy::Old, MergeStrategy::New] {
-            let flow = run_flow(&t.dfg, strategy, &config)
-                .unwrap_or_else(|e| panic!("{} {strategy}: {e}", t.name));
+            let flow = run_flow(
+                &t.dfg,
+                strategy,
+                &config,
+                &mut Recorder::disabled(),
+                &mut TraceLog::disabled(),
+            )
+            .unwrap_or_else(|e| panic!("{} {strategy}: {e}", t.name));
             flow.netlist.check().expect("structurally sound");
             assert_equivalent(&t.dfg, &flow.netlist, 11, 25);
         }
@@ -37,7 +43,14 @@ fn optimization_preserves_equivalence_on_designs() {
     let config = SynthConfig::default();
     let lib = Library::synthetic_025um();
     for t in all_designs() {
-        let flow = run_flow(&t.dfg, MergeStrategy::New, &config).expect("synthesis");
+        let flow = run_flow(
+            &t.dfg,
+            MergeStrategy::New,
+            &config,
+            &mut Recorder::disabled(),
+            &mut TraceLog::disabled(),
+        )
+        .expect("synthesis");
         let mut nl = flow.netlist;
         let before = nl.longest_path(&lib).delay_ns;
         let report = optimize(
@@ -62,7 +75,14 @@ fn merging_monotonically_improves_designs() {
         let mut area = Vec::new();
         let mut cpas = Vec::new();
         for strategy in [MergeStrategy::None, MergeStrategy::Old, MergeStrategy::New] {
-            let flow = run_flow(&t.dfg, strategy, &config).expect("synthesis");
+            let flow = run_flow(
+                &t.dfg,
+                strategy,
+                &config,
+                &mut Recorder::disabled(),
+                &mut TraceLog::disabled(),
+            )
+            .expect("synthesis");
             let mut nl = flow.netlist;
             datapath_merge::opt::fold_constants(&mut nl);
             let nl = nl.sweep();
@@ -88,7 +108,14 @@ fn width_transformed_designs_round_trip_through_all_adder_configs() {
                 for compression in [false, true] {
                     let config =
                         SynthConfig { adder, reduction, sign_ext_compression: compression };
-                    let flow = run_flow(&t.dfg, MergeStrategy::New, &config).expect("synthesis");
+                    let flow = run_flow(
+                        &t.dfg,
+                        MergeStrategy::New,
+                        &config,
+                        &mut Recorder::disabled(),
+                        &mut TraceLog::disabled(),
+                    )
+                    .expect("synthesis");
                     assert_equivalent(&t.dfg, &flow.netlist, 17, 8);
                 }
             }

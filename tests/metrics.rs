@@ -14,8 +14,7 @@ fn fig3_metrics_match_hand_computed_values() {
     let mut rec = Recorder::new();
     let mut tr = TraceLog::disabled();
     let flow =
-        run_flow_with(&fig.g, MergeStrategy::New, &SynthConfig::default(), &mut rec, &mut tr)
-            .unwrap();
+        run_flow(&fig.g, MergeStrategy::New, &SynthConfig::default(), &mut rec, &mut tr).unwrap();
     let m = &flow.metrics;
     assert_eq!(m.strategy, "new-merge");
     assert_eq!(m.node_width_before, 33);
@@ -45,7 +44,7 @@ fn fig3_spans_nest_by_stage() {
     let fig = figures::fig3();
     let mut rec = Recorder::new();
     let mut tr = TraceLog::disabled();
-    run_flow_with(&fig.g, MergeStrategy::New, &SynthConfig::default(), &mut rec, &mut tr).unwrap();
+    run_flow(&fig.g, MergeStrategy::New, &SynthConfig::default(), &mut rec, &mut tr).unwrap();
     let names: Vec<(&str, usize)> = rec.records().iter().map(|r| (r.name(), r.depth())).collect();
     assert_eq!(names[0], ("flow new-merge", 0));
     assert!(names.contains(&("clustering", 1)), "{names:?}");
@@ -62,7 +61,14 @@ fn fig3_spans_nest_by_stage() {
 fn flow_metrics_json_identical_across_runs() {
     let render = || {
         let fig = figures::fig3();
-        let flow = run_flow(&fig.g, MergeStrategy::New, &SynthConfig::default()).unwrap();
+        let flow = run_flow(
+            &fig.g,
+            MergeStrategy::New,
+            &SynthConfig::default(),
+            &mut Recorder::disabled(),
+            &mut TraceLog::disabled(),
+        )
+        .unwrap();
         flow.qor(&Library::synthetic_025um()).to_json().render()
     };
     let (a, b) = (render(), render());

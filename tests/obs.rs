@@ -17,9 +17,10 @@
 //!    `degradations` block), so no `dpmc explain` re-run is needed.
 
 use datapath_merge::dfg::gen::{random_dfg, GenConfig};
-use datapath_merge::driver::{bench_design, run_slots};
+use datapath_merge::driver::bench_design;
 use datapath_merge::obs::{self, render_stream, trace_events, validate_stream, DesignEvents};
 use datapath_merge::prelude::*;
+use datapath_merge::serve::pool::run_slots;
 use datapath_merge::testcases::{all_designs, figures};
 use proptest::prelude::*;
 
@@ -104,6 +105,7 @@ fn degradations_counter_block_reaches_flow_metrics_json() {
         MergeStrategy::New,
         &SynthConfig::default(),
         &budget,
+        None,
         &mut rec,
         &mut tr,
     )
@@ -131,7 +133,7 @@ proptest! {
         let run_at = |level: Level| {
             let mut rec = Recorder::with_level(level);
             let mut tr = TraceLog::new();
-            run_flow_with(&g, MergeStrategy::New, &SynthConfig::default(), &mut rec, &mut tr)
+            run_flow(&g, MergeStrategy::New, &SynthConfig::default(), &mut rec, &mut tr)
                 .map(|flow| (flow.metrics.to_json().render(), trace_events(&tr)))
                 .map_err(|e| e.to_string())
         };

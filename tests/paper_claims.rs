@@ -116,8 +116,22 @@ fn claim_sum_of_products_single_cpa() {
 
     let lib = Library::synthetic_025um();
     let config = SynthConfig::default();
-    let merged = run_flow(&g, MergeStrategy::New, &config).unwrap();
-    let unmerged = run_flow(&g, MergeStrategy::None, &config).unwrap();
+    let merged = run_flow(
+        &g,
+        MergeStrategy::New,
+        &config,
+        &mut Recorder::disabled(),
+        &mut TraceLog::disabled(),
+    )
+    .unwrap();
+    let unmerged = run_flow(
+        &g,
+        MergeStrategy::None,
+        &config,
+        &mut Recorder::disabled(),
+        &mut TraceLog::disabled(),
+    )
+    .unwrap();
     assert_eq!(merged.clustering.len(), 1);
     assert_eq!(unmerged.clustering.len(), 3);
     assert!(

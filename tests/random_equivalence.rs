@@ -28,7 +28,7 @@ proptest! {
         );
         let config = SynthConfig::default();
         for strategy in [MergeStrategy::None, MergeStrategy::Old, MergeStrategy::New] {
-            let flow = run_flow(&g, strategy, &config).expect("synthesis succeeds");
+            let flow = run_flow(&g, strategy, &config, &mut Recorder::disabled(), &mut TraceLog::disabled()).expect("synthesis succeeds");
             flow.clustering.validate(&flow.graph).expect("valid partition");
             for _ in 0..6 {
                 let inputs = random_inputs(&g, &mut rng);
@@ -76,7 +76,7 @@ proptest! {
             &GenConfig { num_inputs, num_ops, ..GenConfig::default() },
         );
         let lib = Library::synthetic_025um();
-        let flow = run_flow(&g, MergeStrategy::New, &SynthConfig::default()).expect("synthesis");
+        let flow = run_flow(&g, MergeStrategy::New, &SynthConfig::default(), &mut Recorder::disabled(), &mut TraceLog::disabled()).expect("synthesis");
         let mut nl = flow.netlist;
         let before = nl.longest_path(&lib).delay_ns;
         optimize(

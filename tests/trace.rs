@@ -6,14 +6,19 @@
 //! (the recorded widths on Figures 2 and 3 are the ones the prose
 //! derives).
 
+use datapath_merge::analysis::{optimize_widths_with, IntrinsicOverrides, PipelineBudget};
+use datapath_merge::merge::refine_clusters_with;
 use datapath_merge::prelude::*;
 use datapath_merge::testcases::figures;
 
+/// The new-merge clustering's decision log: the width pipeline, then the
+/// break/cluster/Huffman refinement.
 fn trace_of(g: &Dfg) -> Vec<TraceEvent> {
     let mut opt = g.clone();
     let mut rec = Recorder::new();
     let mut tr = TraceLog::new();
-    let _ = cluster_max_with(&mut opt, &mut rec, &mut tr);
+    optimize_widths_with(&mut opt, &PipelineBudget::default(), &mut rec, &mut tr);
+    let _ = refine_clusters_with(&opt, &mut IntrinsicOverrides::new(), &mut rec, &mut tr);
     tr.events().to_vec()
 }
 
@@ -109,20 +114,19 @@ fn run_flow_threads_the_trace_and_disabled_stays_empty() {
     let mut rec = Recorder::new();
     let mut tr = TraceLog::new();
     let flow =
-        run_flow_with(&fig.g, MergeStrategy::New, &SynthConfig::default(), &mut rec, &mut tr)
-            .unwrap();
+        run_flow(&fig.g, MergeStrategy::New, &SynthConfig::default(), &mut rec, &mut tr).unwrap();
     assert!(!tr.is_empty());
     assert_eq!(flow.clustering.len(), 1);
 
     let mut rec = Recorder::new();
     let mut off = TraceLog::disabled();
-    run_flow_with(&fig.g, MergeStrategy::New, &SynthConfig::default(), &mut rec, &mut off).unwrap();
+    run_flow(&fig.g, MergeStrategy::New, &SynthConfig::default(), &mut rec, &mut off).unwrap();
     assert!(off.is_empty());
 
     // Old-merge flows never consult the analysis passes that trace.
     let mut rec = Recorder::new();
     let mut tr = TraceLog::new();
-    run_flow_with(&fig.g, MergeStrategy::Old, &SynthConfig::default(), &mut rec, &mut tr).unwrap();
+    run_flow(&fig.g, MergeStrategy::Old, &SynthConfig::default(), &mut rec, &mut tr).unwrap();
     assert!(tr.is_empty());
 }
 
