@@ -1,7 +1,8 @@
 //! The three clustering strategies compared in the paper's evaluation.
 
 use dp_analysis::{
-    huffman_bound, info_content_with, optimize_widths, IntrinsicOverrides, TransformReport,
+    huffman_bound, info_content_with, optimize_widths, InfoAnalysis, IntrinsicOverrides,
+    TransformReport,
 };
 use dp_dfg::Dfg;
 use dp_metrics::Recorder;
@@ -81,7 +82,11 @@ pub fn cluster_max(g: &mut Dfg) -> (Clustering, MergeReport) {
 ///
 /// `overrides` seeds the intrinsic information-content bounds consulted by
 /// the refinement (normally empty; the fault-injection harness plants lies
-/// here) and holds the Huffman-refined bounds on return. The returned
+/// here) and holds, on return, the bounds the final partition was decided
+/// under — the same set the returned [`Clustering::overrides`] carries.
+/// A round's refinements apply only when another round follows, so when
+/// the 16-round cap stops the loop they are dropped rather than carried
+/// into facts no decision was made under. The returned
 /// [`MergeReport::transform`] is empty.
 pub fn refine_clusters_with(
     g: &Dfg,
@@ -90,7 +95,7 @@ pub fn refine_clusters_with(
     tr: &mut TraceLog,
 ) -> (Clustering, MergeReport) {
     let mut report = MergeReport::default();
-    let clustering = loop {
+    let (mut clustering, ic) = loop {
         report.rounds += 1;
         let round = rec.span(format!("merge round {}", report.rounds));
         let ic = rec.scope("info_content", |_| info_content_with(g, overrides));
@@ -98,7 +103,7 @@ pub fn refine_clusters_with(
         let clustering = rec.scope("extract_clusters", |_| extract_clusters(g, &breaks));
         report.break_nodes = breaks.iter().filter(|&&b| b).count();
         let rebalance = rec.span("huffman_rebalance");
-        let mut changed = false;
+        let mut refined = Vec::new();
         for c in &clustering.clusters {
             if c.len() < 2 {
                 continue;
@@ -114,42 +119,40 @@ pub fn refine_clusters_with(
                 let Ok(saf) = linearize_member(g, c, &ic, m) else {
                     continue;
                 };
-                let refined = huffman_bound(&saf.huffman_terms());
+                let bound = huffman_bound(&saf.huffman_terms());
                 let current = ic.intrinsic(m).map(|x| x.i).unwrap_or(usize::MAX);
-                if refined.i < current {
-                    overrides.insert(m, refined);
-                    report.refinements += 1;
-                    changed = true;
-                    tr.emit(Rule::HuffmanCombine, Subject::Node(m.index()), current, refined.i);
+                if bound.i < current {
+                    refined.push((m, current, bound));
                 }
             }
         }
         rec.finish(rebalance);
         rec.finish(round);
-        if !changed || report.rounds >= 16 {
-            break clustering;
+        if refined.is_empty() || report.rounds >= 16 {
+            break (clustering, ic);
+        }
+        for (m, current, bound) in refined {
+            overrides.insert(m, bound);
+            report.refinements += 1;
+            tr.emit(Rule::HuffmanCombine, Subject::Node(m.index()), current, bound.i);
         }
     };
+    clustering.overrides = overrides.clone();
     if tr.is_enabled() {
-        trace_final_decisions(g, overrides, &clustering, tr);
+        trace_final_decisions(g, &ic, &clustering, tr);
     }
     (clustering, report)
 }
 
 /// Records the settled break classifications and cluster assignments into
 /// the trace. Break events re-run the final break analysis with the log
-/// attached (cheap relative to the iteration that just finished); cluster
-/// events link each member to its cluster's output event, and the output
-/// to the latest decision among the members — so walking any member's
-/// ancestry reaches the width/break decisions that shaped the cluster.
-fn trace_final_decisions(
-    g: &Dfg,
-    overrides: &IntrinsicOverrides,
-    clustering: &Clustering,
-    tr: &mut TraceLog,
-) {
-    let ic = info_content_with(g, overrides);
-    let _ = find_breaks_new_with(g, &ic, tr);
+/// attached, over the final round's information content (no bound changed
+/// after it); cluster events link each member to its cluster's output
+/// event, and the output to the latest decision among the members — so
+/// walking any member's ancestry reaches the width/break decisions that
+/// shaped the cluster.
+fn trace_final_decisions(g: &Dfg, ic: &InfoAnalysis, clustering: &Clustering, tr: &mut TraceLog) {
+    let _ = find_breaks_new_with(g, ic, tr);
     for (k, c) in clustering.clusters.iter().enumerate() {
         let latest = c.members.iter().filter_map(|&m| tr.last_node(m.index())).max();
         let out_event =

@@ -1,7 +1,8 @@
 //! Break-node identification (the four conditions of Section 6).
 
-use dp_analysis::{required_precision, InfoAnalysis};
-use dp_dfg::{Dfg, NodeId, NodeKind, OpKind};
+use dp_analysis::{required_precision, Ic, InfoAnalysis};
+use dp_bitvec::Signedness::Unsigned;
+use dp_dfg::{Dfg, EdgeId, NodeId, NodeKind, OpKind};
 use dp_trace::{Rule, Subject, TraceLog};
 
 /// Returns `true` for nodes that can be members of a cluster: operator
@@ -11,65 +12,107 @@ pub fn is_mergeable(g: &Dfg, n: NodeId) -> bool {
     matches!(g.node(n).kind(), NodeKind::Op(_) | NodeKind::Extension(_))
 }
 
-/// The *exact information width* a node produces before its own width
-/// truncates it: Lemma 5.4's intrinsic bound for operators (possibly
-/// Huffman-refined through `ic`), and the incoming-signal bound for
-/// extension nodes (which create no information of their own).
-fn exact_info_width(g: &Dfg, ic: &InfoAnalysis, n: NodeId) -> usize {
+/// What a mergeable node hands its consumers: the *exact information
+/// width* it produces before its own width truncates it (Lemma 5.4's
+/// intrinsic bound for operators, possibly Huffman-refined through `ic`;
+/// the incoming-signal bound for extension nodes, which create no
+/// information of their own), and the ⟨i, t⟩ claim its value is read by
+/// (the intrinsic bound; for an extension node its output claim, its own
+/// discipline already applied).
+fn produced(g: &Dfg, ic: &InfoAnalysis, n: NodeId) -> (usize, Ic) {
     match g.node(n).kind() {
-        NodeKind::Op(_) => ic.intrinsic(n).expect("operator has an intrinsic bound").i,
         NodeKind::Extension(_) => {
             let e = g.node(n).in_edges()[0];
-            ic.edge_signal(e).i
+            (ic.edge_signal(e).i, ic.output(n))
         }
-        _ => g.node(n).width(),
+        _ => {
+            let intr = ic.intrinsic(n).expect("operator has an intrinsic bound");
+            (intr.i, intr)
+        }
     }
 }
 
-/// The *trust boundary* of every node: the largest `d` such that the
-/// node's circuit pattern agrees with a full re-derivation of its value
-/// from primary signals modulo `2^d` (`usize::MAX` when they agree
-/// exactly).
+/// The one merge-safety rule, per edge: how many low bits of the exact
+/// value of `e`'s (mergeable) source reach the consumer intact —
+/// `usize::MAX` when all of them do — given the source's trust boundary.
 ///
-/// Truncating real information at a node (`i_int > w`) caps its trust at
-/// `w`; truncating an operand edge below the available information caps it
-/// at `w(e)`; and — crucially — damage is **transitive**: a consumer of a
-/// damaged signal inherits its boundary (a left shift moves it up), even
-/// if the consumer itself truncates nothing. The paper's Safety Condition
-/// 2 only looks one edge deep; without the transitive closure, a damaged
-/// value laundered through a width-matched intermediate node could be
-/// re-extended downstream and break the sum-of-addends equivalence.
+/// Starting from the trust boundary, the damage is capped
+/// - at `w(e)` when the edge truncates real information;
+/// - at the current width when an extension step (the edge's, then the
+///   consumer port's) uses a discipline that contradicts the value's
+///   ⟨i, t⟩ — it fabricates upper bits;
+/// - at `r = min(w(e), w(dst))` when the consumer reads the delivered
+///   bits with a discipline (an extension node's own, else the edge's)
+///   that is not exact for ⟨i, t⟩: unless `i = 0`, the disciplines match,
+///   or `t` is unsigned with `i < r`, the consumer's reading differs from
+///   the value above the delivered bits.
+///
+/// Returns the damage and the rule a break on it cites: `BREAK-SAFETY-2`
+/// when a reinterpretation cap is the binding one, else `BREAK-SAFETY-1`.
+fn edge_damage(g: &Dfg, ic: &InfoAnalysis, e: EdgeId, trust: usize) -> (usize, Rule) {
+    let edge = g.edge(e);
+    let (src, dst) = (edge.src(), edge.dst());
+    let (i_exact, value) = produced(g, ic, src);
+    let lost = if i_exact > edge.width() { trust.min(edge.width()) } else { trust };
+    // The consumer port adapts with the edge discipline, except extension
+    // nodes, which use their own (Definition 5.5).
+    let dst_t = match g.node(dst).kind() {
+        NodeKind::Extension(t) => *t,
+        _ => edge.signedness(),
+    };
+    let mut misread = usize::MAX;
+    let mut i = value.i;
+    let mut cur = g.node(src).width();
+    for (to, t_adapt) in [(edge.width(), edge.signedness()), (g.node(dst).width(), dst_t)] {
+        if to <= cur {
+            i = i.min(to); // truncation: strictness for later steps
+        } else if t_adapt != value.t && !(value.t == Unsigned && i < cur) {
+            misread = misread.min(cur);
+        }
+        cur = to;
+    }
+    let r = edge.width().min(g.node(dst).width());
+    if i > 0 && dst_t != value.t && !(value.t == Unsigned && i < r) {
+        misread = misread.min(r);
+    }
+    if misread < lost {
+        (misread, Rule::BreakSafety2)
+    } else {
+        (lost, Rule::BreakSafety1)
+    }
+}
+
+/// A node's *trust boundary*: the largest `d` such that its circuit
+/// pattern agrees with a full re-derivation of its value from primary
+/// signals modulo `2^d` (`usize::MAX` when they agree exactly). It is the
+/// least `damage` over the node's internal in-edges (a left shift moves it
+/// up), capped at `w(n)` when the node truncates its own `full` width.
+///
+/// Damage only carries across *internal* (would-be same cluster) edges: a
+/// break node or primary signal arrives as a boundary addend — the
+/// sum-of-addends form uses its pattern directly, so there is nothing to
+/// diverge from.
 fn node_trust(
     g: &Dfg,
     n: NodeId,
-    trust: &[usize],
     breaks: &[bool],
-    avail_of: &impl Fn(NodeId) -> usize,
-    own_full: usize,
+    full: usize,
+    damage: impl Fn(EdgeId, NodeId) -> usize,
 ) -> usize {
     let node = g.node(n);
-    let mut t = usize::MAX;
-    for &e in node.in_edges() {
-        let edge = g.edge(e);
-        let src = edge.src();
-        // Damage only carries across *internal* (would-be same cluster)
-        // edges: a break node or primary signal arrives as a boundary
-        // addend — the sum-of-addends form uses its pattern directly, so
-        // there is nothing to diverge from.
-        if !is_mergeable(g, src) || breaks[src.index()] {
-            continue;
-        }
-        let mut ot = trust[src.index()];
-        let src_avail = avail_of(src).min(ot);
-        if src_avail > edge.width() {
-            ot = ot.min(edge.width());
-        }
-        t = t.min(ot);
-    }
+    let mut t = node
+        .in_edges()
+        .iter()
+        .filter_map(|&e| {
+            let src = g.edge(e).src();
+            (is_mergeable(g, src) && !breaks[src.index()]).then(|| damage(e, src))
+        })
+        .min()
+        .unwrap_or(usize::MAX);
     if let NodeKind::Op(OpKind::Shl(k)) = node.kind() {
         t = t.saturating_add(*k as usize);
     }
-    if own_full > node.width() {
+    if full > node.width() {
         t = t.min(node.width());
     }
     t
@@ -79,14 +122,17 @@ fn node_trust(
 /// and Synthesizability Conditions 1–2 of Section 6), given the
 /// information-content analysis of the (already width-optimized) graph.
 ///
-/// The safety test is implemented per *edge* as a damage-boundary check
-/// subsuming both printed safety conditions (see `DESIGN.md` for the
-/// erratum discussion): node `N` breaks if real information was truncated
-/// anywhere upstream — at `w(N)` when the intrinsic width exceeds it, at
-/// `w(e)` when an out-edge truncates below the available information, or
-/// transitively via a damaged operand (`trust_boundaries`) — and some
-/// consumer *requires* bits beyond that boundary (required precision at
-/// the destination port exceeds it).
+/// Safety is one per-edge damage rule (`edge_damage`) subsuming both
+/// printed safety conditions (see `DESIGN.md` for the erratum
+/// discussion): node `N` breaks if some consumer *requires* more bits
+/// (required precision at the destination port) than reach it intact.
+/// The same rule propagates each node's *trust boundary*: damage is
+/// **transitive** — a consumer of a damaged or reinterpreted signal
+/// inherits its boundary (a left shift moves it up), even if the consumer
+/// itself truncates nothing. The paper's conditions only look one edge
+/// deep; without the transitive closure, a damaged value laundered
+/// through a width-matched intermediate node could be re-extended
+/// downstream and break the sum-of-addends equivalence.
 ///
 /// Returns one flag per node; non-mergeable nodes are never break nodes.
 pub fn find_breaks_new(g: &Dfg, ic: &InfoAnalysis) -> Vec<bool> {
@@ -96,10 +142,10 @@ pub fn find_breaks_new(g: &Dfg, ic: &InfoAnalysis) -> Vec<bool> {
 /// [`find_breaks_new`] with decision provenance: each break classification
 /// emits a `BREAK-*` trace event naming the condition that fired
 /// (`BREAK-SYNTH-1` multiplier operand, `BREAK-SAFETY-1` damage boundary
-/// with `before` = surviving bits and `after` = required bits,
-/// `BREAK-SAFETY-2` value misread, `BREAK-SYNTH-2` non-reconvergent
-/// fanout with `before` = fanout degree), caused by the last decision
-/// about the offending edge or the node itself.
+/// and `BREAK-SAFETY-2` value misread, both with `before` = surviving bits
+/// and `after` = required bits, `BREAK-SYNTH-2` non-reconvergent fanout
+/// with `before` = fanout degree), caused by the last decision about the
+/// offending edge or the node itself.
 pub fn find_breaks_new_with(g: &Dfg, ic: &InfoAnalysis, tr: &mut TraceLog) -> Vec<bool> {
     let rp = required_precision(g);
     let mut breaks = vec![false; g.num_nodes()];
@@ -113,14 +159,14 @@ pub fn find_breaks_new_with(g: &Dfg, ic: &InfoAnalysis, tr: &mut TraceLog) -> Ve
         if !is_mergeable(g, n) {
             continue;
         }
-        let w_n = g.node(n).width();
-        let i_exact = exact_info_width(g, ic, n);
-        let t_n = node_trust(g, n, &trust, &breaks, &|m| ic.output(m).i, i_exact);
+        let node = g.node(n);
+        let w_n = node.width();
+        let t_n = node_trust(g, n, &breaks, produced(g, ic, n).0, |e, src| {
+            edge_damage(g, ic, e, trust[src.index()]).0
+        });
         trust[n.index()] = t_n;
-        let avail = i_exact.min(w_n).min(t_n);
-        for &e in g.node(n).out_edges() {
-            let edge = g.edge(e);
-            let dst = edge.dst();
+        for &e in node.out_edges() {
+            let dst = g.edge(e).dst();
             if !is_mergeable(g, dst) {
                 continue; // boundary to an output: no merge anyway
             }
@@ -132,96 +178,17 @@ pub fn find_breaks_new_with(g: &Dfg, ic: &InfoAnalysis, tr: &mut TraceLog) -> Ve
                 tr.emit_caused(Rule::BreakSynth1, Subject::Node(n.index()), w_n, w_n, blame);
                 break;
             }
-            // Safety: damage boundary along this edge (the node's own
-            // trust boundary, possibly tightened by edge truncation).
-            let mut damage = t_n;
-            if i_exact > w_n {
-                damage = damage.min(w_n);
-            }
-            if avail > edge.width() {
-                damage = damage.min(edge.width());
-            }
+            let (damage, rule) = edge_damage(g, ic, e, t_n);
             let required = rp.input_port(dst);
             if required > damage {
                 breaks[n.index()] = true;
-                tr.emit_caused(
-                    Rule::BreakSafety1,
-                    Subject::Node(n.index()),
-                    damage,
-                    required,
-                    blame,
-                );
-                break;
-            }
-            // Safety: a value-changing resize (extension whose discipline
-            // contradicts the value's own signedness) breaks the
-            // sum-of-addends reading even when no information is lost.
-            if i_exact <= w_n && value_misread(g, ic, n, e) {
-                breaks[n.index()] = true;
-                tr.emit_caused(
-                    Rule::BreakSafety2,
-                    Subject::Node(n.index()),
-                    w_n,
-                    edge.width(),
-                    blame,
-                );
+                tr.emit_caused(rule, Subject::Node(n.index()), damage, required, blame);
                 break;
             }
         }
     }
     enforce_unique_outputs(g, &mut breaks, tr);
     breaks
-}
-
-/// Checks whether the resize chain along `e` (source width → edge width →
-/// destination width) *reinterprets* the source's value: an extension step
-/// whose discipline contradicts the value's own signedness fabricates
-/// upper bits that differ from the mathematical value, making the operand
-/// unequal to the sub-sum the cluster would compute for it.
-///
-/// Only meaningful when the source carries its full information
-/// (`i_exact <= w(N)`); damaged sources are handled by the
-/// damage-boundary test.
-fn value_misread(g: &Dfg, ic: &InfoAnalysis, n: NodeId, e: dp_dfg::EdgeId) -> bool {
-    let edge = g.edge(e);
-    let dst = edge.dst();
-    // The value's own discipline and width: the intrinsic bound for
-    // operators; for extension nodes, the *output* claim — the node's own
-    // discipline is already applied there, and that is the reading any
-    // further resize must preserve.
-    let (mut iv, tv) = match g.node(n).kind() {
-        NodeKind::Op(_) => {
-            let intr = ic.intrinsic(n).expect("operator intrinsic");
-            (intr.i, intr.t)
-        }
-        NodeKind::Extension(_) => {
-            let out = ic.output(n);
-            (out.i, out.t)
-        }
-        _ => return false,
-    };
-    // The destination adapts with the edge discipline, except extension
-    // nodes, which use their own (Definition 5.5).
-    let dst_t = match g.node(dst).kind() {
-        NodeKind::Extension(t) => *t,
-        _ => edge.signedness(),
-    };
-    let mut cur = g.node(n).width();
-    for (to, t_adapt) in [(edge.width(), edge.signedness()), (g.node(dst).width(), dst_t)] {
-        if to <= cur {
-            iv = iv.min(to); // truncation: strictness for later steps
-        } else {
-            let ok = t_adapt == tv
-                || (tv == dp_bitvec::Signedness::Unsigned
-                    && t_adapt == dp_bitvec::Signedness::Signed
-                    && iv < cur);
-            if !ok {
-                return true;
-            }
-        }
-        cur = to;
-    }
-    false
 }
 
 /// Break-node detection for the **old** (leakage-of-bits) algorithm: a
@@ -241,7 +208,15 @@ pub fn find_breaks_leakage(g: &Dfg) -> Vec<bool> {
         }
         let w_n = g.node(n).width();
         let full = naive_full_width(g, n);
-        let t_n = node_trust(g, n, &trust, &breaks, &|m| g.node(m).width(), full);
+        // Width-level damage: an operand edge truncating its source's width.
+        let t_n = node_trust(g, n, &breaks, full, |e, src| {
+            let (ot, w_e) = (trust[src.index()], g.edge(e).width());
+            if g.node(src).width().min(ot) > w_e {
+                ot.min(w_e)
+            } else {
+                ot
+            }
+        });
         trust[n.index()] = t_n;
         for &e in g.node(n).out_edges() {
             let edge = g.edge(e);
@@ -257,9 +232,6 @@ pub fn find_breaks_leakage(g: &Dfg) -> Vec<bool> {
             // the new analysis's trust boundary — any sound merger must
             // track laundered damage).
             let mut damage = t_n;
-            if full > w_n {
-                damage = damage.min(w_n);
-            }
             if w_n.min(full).min(t_n) > edge.width() {
                 damage = damage.min(edge.width());
             }
@@ -285,11 +257,11 @@ pub fn find_breaks_leakage(g: &Dfg) -> Vec<bool> {
     breaks
 }
 
-/// Width-only counterpart of [`value_misread`]: the result's signedness is
-/// derived purely from the operator and its operand edge disciplines, and
-/// with no information-content bound every extension step must match it
-/// exactly.
-fn naive_value_misread(g: &Dfg, n: NodeId, e: dp_dfg::EdgeId) -> bool {
+/// Width-only counterpart of the new analysis's reinterpretation caps
+/// (`edge_damage`): the result's signedness is derived purely from the
+/// operator and its operand edge disciplines, and with no
+/// information-content bound every extension step must match it exactly.
+fn naive_value_misread(g: &Dfg, n: NodeId, e: EdgeId) -> bool {
     let edge = g.edge(e);
     let dst = edge.dst();
     let tv = naive_value_signedness(g, n);

@@ -3,6 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
+use dp_analysis::IntrinsicOverrides;
 use dp_dfg::{Dfg, EdgeId, NodeId};
 
 use crate::breaks::is_mergeable;
@@ -45,6 +46,12 @@ pub struct Clustering {
     pub clusters: Vec<Cluster>,
     /// The break nodes that induced the partition.
     pub break_nodes: Vec<NodeId>,
+    /// The intrinsic information-content overrides (Huffman-refined
+    /// bounds, Theorem 5.10) the partition was decided under. Synthesis
+    /// linearizes with exactly these facts: a boundary claim re-derived
+    /// under other bounds can disagree with the one the merge was proven
+    /// safe for. Empty for strategies that refine nothing.
+    pub overrides: IntrinsicOverrides,
 }
 
 impl Clustering {
@@ -278,7 +285,7 @@ pub(crate) fn extract_clusters(g: &Dfg, breaks: &[bool]) -> Clustering {
         groups.into_iter().map(|members| finish_cluster(g, members)).collect();
     debug_assert!(clusters.windows(2).all(|w| w[0].members[0] < w[1].members[0]));
     let break_nodes = g.node_ids().filter(|n| breaks[n.index()]).collect();
-    Clustering { clusters, break_nodes }
+    Clustering { clusters, break_nodes, overrides: IntrinsicOverrides::new() }
 }
 
 /// Builds a cluster from its final, sorted member list by locating the
@@ -368,6 +375,7 @@ mod tests {
         let bad = Clustering {
             clusters: vec![Cluster { members: vec![n1, n2, n3], output: n2, input_edges: vec![] }],
             break_nodes: vec![],
+            overrides: IntrinsicOverrides::new(),
         };
         assert!(matches!(
             bad.validate(&g),
@@ -381,6 +389,7 @@ mod tests {
         let bad = Clustering {
             clusters: vec![Cluster { members: vec![n1], output: n1, input_edges: vec![] }],
             break_nodes: vec![],
+            overrides: IntrinsicOverrides::new(),
         };
         assert!(matches!(bad.validate(&g), Err(ClusterError::Unassigned { .. })));
     }

@@ -8,7 +8,8 @@
 //!
 //! * `analysis` — the width-optimized graph, as its canonical bytes;
 //! * `cluster` — the width-optimized graph plus the [`Clustering`]
-//!   partitioning it (member/output/input-edge ids index that graph);
+//!   partitioning it (member/output/input-edge ids index that graph) and
+//!   the intrinsic bounds it was decided under;
 //! * `netlist` — the synthesized netlist in the exact `DPN1` wire format
 //!   plus the synthesis counters that are not cheap to rederive.
 //!
@@ -16,6 +17,8 @@
 //! panic; a malformed payload is a `String` error the service converts
 //! into a quarantined cache miss.
 
+use dp_analysis::{Ic, IntrinsicOverrides};
+use dp_bitvec::Signedness;
 use dp_dfg::{decode_canonical, Dfg, EdgeId, NodeId};
 use dp_merge::{Cluster, Clustering};
 use dp_synth::{AdderKind, CsaStats, MergeStrategy, ReductionKind, SynthConfig};
@@ -47,7 +50,9 @@ pub fn config_fingerprint(config: &SynthConfig) -> String {
 }
 
 /// Frames a cluster artifact: the canonical bytes of the graph the
-/// clustering partitions, then the clustering itself.
+/// clustering partitions, then the clustering itself — clusters, break
+/// nodes, and its intrinsic bounds as `(node, i, t)` in ascending node
+/// order.
 pub fn encode_cluster_artifact(graph_bytes: &[u8], clustering: &Clustering) -> Vec<u8> {
     let mut out = Vec::with_capacity(graph_bytes.len() + 64);
     put_varint(&mut out, graph_bytes.len() as u64);
@@ -68,6 +73,14 @@ pub fn encode_cluster_artifact(graph_bytes: &[u8], clustering: &Clustering) -> V
     for &b in &clustering.break_nodes {
         put_varint(&mut out, b.index() as u64);
     }
+    let mut bounds: Vec<_> = clustering.overrides.iter().collect();
+    bounds.sort_unstable_by_key(|b| b.0);
+    put_varint(&mut out, bounds.len() as u64);
+    for (n, ic) in bounds {
+        put_varint(&mut out, n.index() as u64);
+        put_varint(&mut out, ic.i as u64);
+        out.push(ic.t.as_bit());
+    }
     out
 }
 
@@ -77,8 +90,9 @@ pub fn encode_cluster_artifact(graph_bytes: &[u8], clustering: &Clustering) -> V
 ///
 /// # Errors
 ///
-/// A description of the defect (truncation, id out of range, invariant
-/// violation).
+/// A description of the defect (truncation, id out of range, a bound no
+/// signal can have, invariant violation). An artifact without the bounds
+/// section — the layout before clusterings carried them — is truncated.
 pub fn decode_cluster_artifact(bytes: &[u8]) -> Result<(Dfg, Clustering), String> {
     let mut d = Decoder { bytes, pos: 0 };
     let graph_len = d.length()?;
@@ -105,8 +119,20 @@ pub fn decode_cluster_artifact(bytes: &[u8]) -> Result<(Dfg, Clustering), String
     for _ in 0..num_breaks {
         break_nodes.push(d.node(&graph)?);
     }
+    let num_bounds = d.length()?;
+    let mut overrides = IntrinsicOverrides::with_capacity(num_bounds.min(1 << 16));
+    for _ in 0..num_bounds {
+        let n = d.node(&graph)?;
+        let i = d.length()?;
+        let t = match d.byte()? {
+            0 => Signedness::Unsigned,
+            1 if i > 0 => Signedness::Signed,
+            b => return Err(format!("bound <{i},{b}> for node {n} is invalid at byte {}", d.pos)),
+        };
+        overrides.insert(n, Ic::new(i, t));
+    }
     d.finish()?;
-    let clustering = Clustering { clusters, break_nodes };
+    let clustering = Clustering { clusters, break_nodes, overrides };
     clustering.validate(&graph).map_err(|e| format!("stored clustering invalid: {e}"))?;
     Ok((graph, clustering))
 }
@@ -232,8 +258,13 @@ mod tests {
         let a = g.input("a", 4);
         let b = g.input("b", 4);
         let c = g.input("c", 4);
+        let d = g.input("d", 4);
         let m = g.op(OpKind::Mul, 8, &[(a, Unsigned), (b, Unsigned)]);
-        let s = g.op(OpKind::Add, 9, &[(m, Unsigned), (c, Unsigned)]);
+        // A skewed chain the Huffman refinement tightens (7 -> 6 bits).
+        let s1 = g.op(OpKind::Add, 5, &[(a, Unsigned), (b, Unsigned)]);
+        let s2 = g.op(OpKind::Add, 6, &[(s1, Unsigned), (c, Unsigned)]);
+        let s3 = g.op(OpKind::Add, 7, &[(s2, Unsigned), (d, Unsigned)]);
+        let s = g.op(OpKind::Add, 9, &[(m, Unsigned), (s3, Unsigned)]);
         g.output("r", 9, s, Unsigned);
         let mut gc = decode_canonical(&encode_canonical(&g)).expect("canonical twin");
         let (clustering, _) = cluster_max(&mut gc);
@@ -247,7 +278,10 @@ mod tests {
         let framed = encode_cluster_artifact(&graph_bytes, &clustering);
         let (g2, c2) = decode_cluster_artifact(&framed).expect("decode");
         assert_eq!(format!("{gc:?}"), format!("{g2:?}"));
-        assert_eq!(format!("{clustering:?}"), format!("{c2:?}"));
+        assert_eq!(format!("{:?}", clustering.clusters), format!("{:?}", c2.clusters));
+        assert_eq!(clustering.break_nodes, c2.break_nodes);
+        assert!(!clustering.overrides.is_empty(), "the fixture carries refined bounds");
+        assert_eq!(clustering.overrides, c2.overrides);
     }
 
     #[test]
@@ -267,6 +301,33 @@ mod tests {
         let mut trailing = framed.clone();
         trailing.push(0);
         assert!(decode_cluster_artifact(&trailing).is_err());
+        // The bounds section closes the artifact: each entry ends with
+        // its discipline byte. A <0, signed> bound, an unknown
+        // discipline and an out-of-range node are errors, not panics.
+        for patch in [[0, 1], [0, 2]] {
+            let mut bad = framed[..framed.len() - 2].to_vec();
+            bad.extend_from_slice(&patch);
+            let err = decode_cluster_artifact(&bad).expect_err("invalid bound");
+            assert!(err.contains("invalid"), "{err}");
+        }
+        let (_, node_pos) = bounds_section(&framed, &clustering);
+        let mut far = framed[..node_pos].to_vec();
+        far.extend_from_slice(&[0x7f, 1, 0]);
+        let err = decode_cluster_artifact(&far).expect_err("node out of range");
+        assert!(err.contains("out of range"), "{err}");
+        // The layout before clusterings carried bounds ends after the
+        // break nodes: a truncated artifact, so the service's store
+        // quarantines it as a miss.
+        let (old_end, _) = bounds_section(&framed, &clustering);
+        assert!(decode_cluster_artifact(&framed[..old_end]).is_err());
+    }
+
+    /// Byte offsets of the bounds section's count and first node id in a
+    /// framed artifact whose bounds have single-byte fields.
+    fn bounds_section(framed: &[u8], clustering: &Clustering) -> (usize, usize) {
+        let entries = clustering.overrides.len();
+        let count_at = framed.len() - 3 * entries - 1;
+        (count_at, count_at + 1)
     }
 
     #[test]

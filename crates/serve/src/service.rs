@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 
 use dp_analysis::IntrinsicOverrides;
 use dp_dfg::{canonical_form, decode_canonical, encode_canonical, Dfg};
-use dp_merge::refine_clusters_with;
+use dp_merge::{refine_clusters_with, Clustering};
 use dp_metrics::{Json, Recorder, Watchdog};
 use dp_netlist::{Library, Netlist};
 use dp_synth::{
@@ -469,13 +469,11 @@ impl Service {
         if let Some(success) = self.try_netlist_hit(&keys, &oracle, &form.hash)? {
             return Ok(success);
         }
-        if let Some(success) = self.try_cluster_hit(req, &keys, &oracle, &form.hash, &budget)? {
+        if let Some(success) = self.try_cluster_hit(req, &keys, &oracle, &budget)? {
             return Ok(success);
         }
         if req.strategy == MergeStrategy::New {
-            if let Some(success) =
-                self.try_analysis_hit(req, &keys, &oracle, &form.hash, &budget)?
-            {
+            if let Some(success) = self.try_analysis_hit(req, &keys, &oracle, &budget)? {
                 return Ok(success);
             }
         }
@@ -525,7 +523,6 @@ impl Service {
         req: &Request,
         keys: &Keys,
         oracle: &AuditOracle,
-        hash: &str,
         budget: &FlowBudget,
     ) -> Result<Option<Success>, Failure> {
         let Some(payload) = self.store_get(ArtifactKind::Cluster, &keys.cluster) else {
@@ -542,34 +539,7 @@ impl Service {
             self.store_quarantine(ArtifactKind::Cluster, &keys.cluster, &defect);
             return Ok(None);
         }
-        let wd = budget.watchdog();
-        match synthesize_watched(&graph, &clustering, &req.config, &mut Recorder::disabled(), &wd) {
-            Ok((nl, csa)) => {
-                if let Some(defect) = audit_stored_netlist(oracle, &nl) {
-                    self.store_quarantine(ArtifactKind::Cluster, &keys.cluster, &defect);
-                    return Ok(None);
-                }
-                self.store_put(
-                    ArtifactKind::Netlist,
-                    &keys.netlist,
-                    &encode_netlist_artifact(clustering.len(), csa, &nl.to_bytes()),
-                );
-                Ok(Some(measure(
-                    keys.strategy,
-                    &nl,
-                    clustering.len(),
-                    csa.cpa_count,
-                    csa.csa_depth,
-                    CacheLevel::Cluster,
-                    hash,
-                )))
-            }
-            Err(SynthError::Budget(limit)) => Err(Failure::Budget(limit)),
-            Err(e) => {
-                self.store_quarantine(ArtifactKind::Cluster, &keys.cluster, &e.to_string());
-                Ok(None)
-            }
-        }
+        self.resynthesize(req, keys, oracle, budget, (graph, clustering), CacheLevel::Cluster)
     }
 
     /// Level 3 (new-merge only): a stored width-optimized graph. Audit
@@ -580,7 +550,6 @@ impl Service {
         req: &Request,
         keys: &Keys,
         oracle: &AuditOracle,
-        hash: &str,
         budget: &FlowBudget,
     ) -> Result<Option<Success>, Failure> {
         let Some(payload) = self.store_get(ArtifactKind::Analysis, &keys.analysis) else {
@@ -610,38 +579,51 @@ impl Service {
         if wd.poll() {
             return Err(Failure::Budget(trip_limit(&wd)));
         }
-        match synthesize_watched(&graph, &clustering, &req.config, &mut Recorder::disabled(), &wd) {
-            Ok((nl, csa)) => {
-                if let Some(defect) = audit_stored_netlist(oracle, &nl) {
-                    self.store_quarantine(ArtifactKind::Analysis, &keys.analysis, &defect);
-                    return Ok(None);
-                }
-                self.store_put(
-                    ArtifactKind::Cluster,
-                    &keys.cluster,
-                    &encode_cluster_artifact(&encode_canonical(&graph), &clustering),
-                );
-                self.store_put(
-                    ArtifactKind::Netlist,
-                    &keys.netlist,
-                    &encode_netlist_artifact(clustering.len(), csa, &nl.to_bytes()),
-                );
-                Ok(Some(measure(
-                    keys.strategy,
-                    &nl,
-                    clustering.len(),
-                    csa.cpa_count,
-                    csa.csa_depth,
-                    CacheLevel::Analysis,
-                    hash,
-                )))
-            }
-            Err(SynthError::Budget(limit)) => Err(Failure::Budget(limit)),
+        self.resynthesize(req, keys, oracle, budget, (graph, clustering), CacheLevel::Analysis)
+    }
+
+    /// The common tail of levels 2 and 3: synthesize the clustering under
+    /// the watchdog, audit the netlist against the request's design, and
+    /// backfill the levels below `level` (the clustering too when it was
+    /// rebuilt from a stored analysis). A synthesis or audit defect
+    /// quarantines the `level` entry and falls through.
+    fn resynthesize(
+        &self,
+        req: &Request,
+        keys: &Keys,
+        oracle: &AuditOracle,
+        budget: &FlowBudget,
+        (graph, clustering): (Dfg, Clustering),
+        level: CacheLevel,
+    ) -> Result<Option<Success>, Failure> {
+        let (kind, key) = match level {
+            CacheLevel::Analysis => (ArtifactKind::Analysis, &keys.analysis),
+            _ => (ArtifactKind::Cluster, &keys.cluster),
+        };
+        let wd = budget.watchdog();
+        let synthesized =
+            synthesize_watched(&graph, &clustering, &req.config, &mut Recorder::disabled(), &wd);
+        let (nl, csa) = match synthesized {
+            Ok(v) => v,
+            Err(SynthError::Budget(limit)) => return Err(Failure::Budget(limit)),
             Err(e) => {
-                self.store_quarantine(ArtifactKind::Analysis, &keys.analysis, &e.to_string());
-                Ok(None)
+                self.store_quarantine(kind, key, &e.to_string());
+                return Ok(None);
             }
+        };
+        if let Some(defect) = audit_stored_netlist(oracle, &nl) {
+            self.store_quarantine(kind, key, &defect);
+            return Ok(None);
         }
+        if level == CacheLevel::Analysis {
+            let artifact = encode_cluster_artifact(&encode_canonical(&graph), &clustering);
+            self.store_put(ArtifactKind::Cluster, &keys.cluster, &artifact);
+        }
+        let artifact = encode_netlist_artifact(clustering.len(), csa, &nl.to_bytes());
+        self.store_put(ArtifactKind::Netlist, &keys.netlist, &artifact);
+        // The cache key's hash is the analysis key.
+        let (cpa, depth) = (csa.cpa_count, csa.csa_depth);
+        Ok(Some(measure(keys.strategy, &nl, clustering.len(), cpa, depth, level, &keys.analysis)))
     }
 
     /// The full guarded flow on the canonical twin; healthy results teach

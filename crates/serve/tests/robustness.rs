@@ -8,8 +8,10 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use dp_bitvec::Signedness::Unsigned;
-use dp_dfg::{canonical_form, Dfg, OpKind};
+use dp_dfg::{canonical_form, encode_canonical, Dfg, OpKind};
+use dp_serve::codec::{config_fingerprint, decode_cluster_artifact, encode_cluster_artifact};
 use dp_serve::{ArtifactKind, ServeOptions, Service, Store};
+use dp_synth::SynthConfig;
 
 fn temp_root(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dp-serve-it-{tag}-{}", std::process::id()));
@@ -151,6 +153,44 @@ fn corruption_matrix_every_defect_is_a_quarantined_miss() {
     );
     let after = serve(&service, "{\"id\":\"q\",\"source\":\"v1\"}\n");
     assert_eq!(scrub(&after[0]), baseline);
+    let _ = fs::remove_dir_all(&root);
+}
+
+#[test]
+fn old_layout_cluster_artifact_is_a_quarantined_miss() {
+    let root = temp_root("old-layout");
+    let baseline = {
+        let service = parser_service(&root);
+        let cold = serve(&service, "{\"id\":\"o\",\"source\":\"v1\"}\n");
+        scrub(&cold[0])
+    };
+    // Rewrite the stored clustering in the layout that predates carried
+    // bounds (no trailing bounds section), checksummed like any other
+    // entry, and evict the netlist so the request reaches the cluster
+    // level.
+    let hash = canonical_form(&sum_of_products_v1()).hash;
+    let cluster_key = format!("{hash}-new");
+    let netlist_key = format!("{hash}-new-{}", config_fingerprint(&SynthConfig::default()));
+    {
+        let mut store = Store::open(&root).expect("store");
+        let payload = store.get(ArtifactKind::Cluster, &cluster_key).expect("stored clustering");
+        let (graph, mut clustering) = decode_cluster_artifact(&payload).expect("decodes");
+        clustering.overrides.clear();
+        let mut old = encode_cluster_artifact(&encode_canonical(&graph), &clustering);
+        assert_eq!(old.pop(), Some(0), "an empty bounds section is one zero count");
+        store.quarantine(ArtifactKind::Cluster, &cluster_key, "rewritten by the test");
+        store.quarantine(ArtifactKind::Netlist, &netlist_key, "evicted by the test");
+        assert!(store.put(ArtifactKind::Cluster, &cluster_key, &old).expect("put"));
+    }
+    let service = parser_service(&root);
+    let after = serve(&service, "{\"id\":\"o\",\"source\":\"v1\"}\n");
+    assert!(!after[0].contains("\"level\":\"cluster\""), "{}", after[0]);
+    assert_eq!(scrub(&after[0]), baseline);
+    let diags = service.store_diagnostics();
+    assert!(
+        diags.iter().any(|d| d.contains("quarantined cluster/") && d.contains("truncated")),
+        "old-layout clustering not quarantined: {diags:?}"
+    );
     let _ = fs::remove_dir_all(&root);
 }
 

@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use dp_analysis::{info_content, optimize_widths_with, IntrinsicOverrides, PipelineBudget};
+use dp_analysis::{info_content_with, optimize_widths_with, IntrinsicOverrides, PipelineBudget};
 use dp_bitvec::Signedness;
 use dp_dfg::{Dfg, NodeKind, ValidateErrors};
 use dp_merge::{
@@ -133,7 +133,10 @@ pub fn synthesize_watched(
     let whole = rec.span("synthesize");
     g.validate()?;
     clustering.validate(g)?;
-    let ic = rec.scope("info_content", |_| info_content(g));
+    // Linearize under the facts the clustering was decided with, never
+    // re-derived ones: a boundary claim under other bounds can disagree
+    // with the one its merge was proven safe for.
+    let ic = rec.scope("info_content", |_| info_content_with(g, &clustering.overrides));
 
     let mut nl = Netlist::new();
     let mut stats = CsaStats::default();

@@ -10,9 +10,11 @@
 //!   cluster input.
 //! - **C003** (error, optimized only): a member other than the cluster
 //!   output is a **break node** under an independent re-run of the
-//!   Section 6 analysis (including the Huffman rebalancing iteration,
-//!   reproduced on a scratch copy of the graph). Break nodes must
-//!   terminate clusters; merging across one is unsafe.
+//!   Section 6 analysis (including the Huffman rebalancing iteration),
+//!   or a clustering that merges anything carries intrinsic bounds other
+//!   than that re-run's. Break nodes must terminate clusters, and
+//!   synthesis linearizes with the carried bounds, so either is an
+//!   unsafe merge.
 //! - **C004** (error, optimized only): a cluster-internal edge truncates
 //!   real information (the signal claim is trivial, yet the source had
 //!   more bits) and the consumer then re-extends it — the classic
@@ -22,7 +24,7 @@
 
 use std::collections::HashSet;
 
-use dp_analysis::{info_content, IntrinsicOverrides};
+use dp_analysis::{info_content, Ic, IntrinsicOverrides};
 use dp_dfg::{NodeId, OpKind};
 use dp_merge::{refine_clusters_with, ClusterError};
 use dp_metrics::Recorder;
@@ -69,16 +71,42 @@ impl Pass for ClusterLegality {
         // the graph is already width-optimized, which makes that pass a
         // no-op — and skipping it lets the refinement borrow the graph
         // directly instead of re-optimizing a scratch clone.
-        let reference_breaks: Option<HashSet<NodeId>> = cx.assume_optimized.then(|| {
-            let mut overrides = IntrinsicOverrides::new();
-            let (reference, _) = refine_clusters_with(
+        let reference = cx.assume_optimized.then(|| {
+            refine_clusters_with(
                 g,
-                &mut overrides,
+                &mut IntrinsicOverrides::new(),
                 &mut Recorder::disabled(),
                 &mut TraceLog::disabled(),
-            );
-            reference.break_nodes.iter().copied().collect()
+            )
+            .0
         });
+        // C003 also audits the bounds the clustering carries into
+        // synthesis: a clustering that merges anything must carry exactly
+        // the reference's, or its netlist is linearized with facts no
+        // merge was proven under. (Singletons without bounds merge
+        // nothing; plain information content is sound for them.) The
+        // lowest differing node is reported.
+        let merges =
+            !clustering.overrides.is_empty() || clustering.clusters.iter().any(|c| c.len() > 1);
+        if let Some(honest) = reference.as_ref().map(|r| &r.overrides).filter(|_| merges) {
+            let carried = &clustering.overrides;
+            let differs = |n: &&NodeId| carried.get(n) != honest.get(n);
+            if let Some(&n) = carried.keys().chain(honest.keys()).filter(differs).min() {
+                let show = |b: Option<&Ic>| b.map_or_else(|| "none".to_string(), Ic::to_string);
+                out.push(Diagnostic::new(
+                    Code::C003,
+                    Location::Node(n),
+                    format!(
+                        "clustering carries intrinsic bound {} where the Section 6 \
+                         audit derives {}: its merges were not decided under honest bounds",
+                        show(carried.get(&n)),
+                        show(honest.get(&n))
+                    ),
+                ));
+            }
+        }
+        let reference_breaks: Option<HashSet<NodeId>> =
+            reference.map(|r| r.break_nodes.into_iter().collect());
 
         for (k, c) in clustering.clusters.iter().enumerate() {
             if let Some(breaks) = &reference_breaks {
@@ -197,6 +225,7 @@ mod tests {
         Clustering {
             clusters: vec![Cluster { members, output, input_edges }],
             break_nodes: vec![output],
+            overrides: genuine.overrides.clone(),
         }
     }
 
@@ -234,6 +263,7 @@ mod tests {
         let forged = Clustering {
             clusters: vec![Cluster { members, output: m, input_edges }],
             break_nodes: vec![m],
+            overrides: IntrinsicOverrides::new(),
         };
         forged.validate(&g).expect("structurally fine");
         let report = Verifier::default().run(&Context::new(&g).clustering(&forged));

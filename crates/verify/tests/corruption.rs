@@ -127,6 +127,7 @@ fn mutation_merge_across_break_node_is_caught_as_c003() {
     let forged = Clustering {
         clusters: vec![Cluster { members, output, input_edges }],
         break_nodes: vec![output],
+        overrides: genuine.overrides.clone(),
     };
     forged.validate(&g).expect("forged clustering is structurally well-formed");
 

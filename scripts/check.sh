@@ -9,6 +9,11 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> release equivalence sweep (unguarded new-merge at wide-add sizes + S10k)"
+# The proptests draw 4-16 operators and 6 vectors; the merge miscompiles
+# this sweep pins only showed on designs of 70+ operators.
+cargo test -q --release --test random_equivalence -- --ignored
+
 echo "==> frozen benchmark API (benchmark/ builds unmodified against the crates)"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 git diff --exit-code -- benchmark BENCHMARK.json
@@ -33,7 +38,7 @@ echo "==> criterion smoke (netlist fold/sweep hot path)"
 cargo bench -p dp-bench --bench fold > /dev/null
 
 echo "==> dpmc bench --compare (QoR/provenance exact, timing within 400%)"
-cargo run --release --bin dpmc -- bench --jobs 1 --compare BENCH_pr9.json --max-regress-pct 400
+cargo run --release --bin dpmc -- bench --jobs 1 --compare BENCH_pr15.json --max-regress-pct 400
 
 echo "==> S10k wall-time budget (full flow x2 strategies + verify under 30s)"
 # The S10k scaling member is not in the committed baseline (timing there

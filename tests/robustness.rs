@@ -147,3 +147,32 @@ proptest! {
         assert_equivalent(&g, &guarded.flow.netlist, &mut rng);
     }
 }
+
+/// `dpmc faultcheck`'s `lie-ic-bound` fault on D3 at seed 2 plants a
+/// one-bit intrinsic bound on node n26. The clustering would carry that
+/// lie into synthesis, so the clustering audit must reject it — before
+/// any netlist is built from it.
+#[test]
+fn lying_ic_bound_degrades_at_the_clustering_audit() {
+    use datapath_merge::fault::{FaultClass, FaultInjector};
+    let g = datapath_merge::testcases::designs::d3();
+    let mut injector = FaultInjector::new(FaultClass::LieIcBound, 2);
+    let guarded = run_flow_guarded_with(
+        &g,
+        MergeStrategy::New,
+        &SynthConfig::default(),
+        &FlowBudget::default(),
+        Some(&mut injector),
+        &mut Recorder::disabled(),
+        &mut TraceLog::disabled(),
+    )
+    .expect("a lie degrades, it is not an error");
+    assert_eq!(
+        injector.injected.as_deref(),
+        Some("node n26 intrinsic IC forced to <1, zero-extended>")
+    );
+    let report = guarded.degradation.expect("the planted lie must degrade");
+    let step = &report.steps[0];
+    assert_eq!(step.stage, "clustering", "{}", report.render());
+    assert!(step.reason.contains("C003"), "{}", step.reason);
+}
